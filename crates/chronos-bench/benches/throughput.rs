@@ -14,10 +14,16 @@ use chronos_bench::{
 use chronos_sim::prelude::*;
 use chronos_strategies::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::convert::Infallible;
 use std::time::Duration;
 
 fn smoke() -> bool {
     std::env::var_os("CHRONOS_BENCH_SMOKE").is_some()
+}
+
+/// The bench workload as an (infallible) chunk source for the runner.
+fn stream(jobs: u32) -> impl Iterator<Item = Result<Vec<JobSpec>, Infallible>> + Send {
+    sharded_bench_stream(jobs).map(Ok)
 }
 
 fn bench_sharded_throughput(c: &mut Criterion) {
@@ -32,7 +38,7 @@ fn bench_sharded_throughput(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("workers", workers), |b| {
             b.iter(|| {
                 runner
-                    .run_chunked(sharded_bench_stream(jobs), |_| {
+                    .run(stream(jobs), RunOptions::default(), |_| {
                         Box::new(HadoopNoSpec::default())
                     })
                     .expect("simulation")
@@ -53,7 +59,7 @@ fn bench_sharded_throughput(c: &mut Criterion) {
 }
 
 /// Replay-path throughput: the same workload parsed back from a
-/// `chronos-trace` v1 file and replayed through `run_chunked_fallible`.
+/// `chronos-trace` v1 file and replayed through `ShardedRunner::run`.
 /// The measured iteration includes the file parse — that is what a loaded
 /// trace costs — so comparing against `sharded-throughput/workers` isolates
 /// the ingestion overhead. The file is written once, outside the timer.
@@ -79,8 +85,8 @@ fn bench_replay_throughput(c: &mut Criterion) {
 }
 
 /// The observability tax: the identical sharded workload with the decision
-/// recorder off (`run_chunked`, the default everywhere) vs on
-/// (`run_chunked_observed`). The disabled path is a single never-taken
+/// recorder off (`RunOptions::default()`, the default everywhere) vs on
+/// (`RunOptions::trace`). The disabled path is a single never-taken
 /// branch per emission site, so `recorder-off` must track
 /// `sharded-throughput/workers/4` — a drift here means recording stopped
 /// being zero-cost when disabled. `recorder-on` prices what `--decision-log`
@@ -96,20 +102,20 @@ fn bench_observability_overhead(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("recorder", "off"), |b| {
         b.iter(|| {
             runner
-                .run_chunked(sharded_bench_stream(jobs), |_| {
+                .run(stream(jobs), RunOptions::default(), |_| {
                     Box::new(HadoopNoSpec::default())
                 })
                 .expect("simulation")
         })
     });
     group.bench_function(BenchmarkId::new("recorder", "on"), |b| {
+        let options = RunOptions {
+            cache: None,
+            trace: Some(None),
+        };
         b.iter(|| {
             runner
-                .run_chunked_observed(
-                    sharded_bench_stream(jobs),
-                    |_| Box::new(HadoopNoSpec::default()),
-                    None,
-                )
+                .run(stream(jobs), options, |_| Box::new(HadoopNoSpec::default()))
                 .expect("simulation")
         })
     });

@@ -1,6 +1,7 @@
 //! Runs every experiment binary in sequence — the "full reproduction run"
-//! referred to by `EXPERIMENTS.md`. Flags (`--quick`, `--paper`) are
-//! forwarded to each experiment.
+//! referred to by `EXPERIMENTS.md`. Flags (`--quick`, `--paper`,
+//! `--trace <path>`) are forwarded to each experiment; any other flag is
+//! rejected up front.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -26,6 +27,8 @@ fn sibling(binary: &str) -> Option<PathBuf> {
 
 fn main() {
     let forward: Vec<String> = std::env::args().skip(1).collect();
+    // Reject what no experiment accepts before running any of them.
+    let _ = chronos_bench::Scale::from_args();
     let mut failures = 0u32;
     for binary in BINARIES {
         println!("\n################ running {binary} ################");

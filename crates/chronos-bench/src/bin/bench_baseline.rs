@@ -61,6 +61,7 @@ use chronos_sim::prelude::*;
 use chronos_strategies::prelude::*;
 use chronos_trace::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -109,7 +110,7 @@ struct BaselineEntry {
 }
 
 /// The planner-path entry: the same workload replayed through
-/// `ShardedRunner::run_chunked_planned` with a shared plan cache. Its
+/// `ShardedRunner::run` with a shared plan cache. Its
 /// deterministic fields are the cache counters (single-flight solving makes
 /// hit/miss counts scheduling-independent) and a digest of the merged
 /// report, which `measure` additionally asserts bit-identical to the
@@ -241,6 +242,11 @@ fn best_of(
     (best_wall, report)
 }
 
+/// The `JOBS`-job bench workload as an (infallible) chunk source.
+fn bench_stream() -> impl Iterator<Item = Result<Vec<JobSpec>, Infallible>> + Send {
+    sharded_bench_stream(JOBS).map(Ok)
+}
+
 fn run_config(
     label: &str,
     workers: u32,
@@ -250,8 +256,9 @@ fn run_config(
         let runner = ShardedRunner::new(sharded_bench_config(workers)).expect("valid config");
         let start = Instant::now();
         let report = runner
-            .run_chunked(sharded_bench_stream(JOBS), |_| build())
-            .expect("simulation completes");
+            .run(bench_stream(), RunOptions::default(), |_| build())
+            .expect("simulation completes")
+            .report;
         (start.elapsed(), report)
     });
     let wall_ms = wall.as_secs_f64() * 1_000.0;
@@ -270,7 +277,7 @@ fn run_config(
 }
 
 /// Times the trace-replay path: the same workload written to disk once,
-/// then parsed + replayed through `run_chunked_fallible`. The wall clock
+/// then parsed + replayed through `ShardedRunner::run`. The wall clock
 /// deliberately includes the file parse — that *is* the replay path a
 /// loaded trace pays — and the report is asserted bit-identical to the
 /// in-memory run, extending the determinism gate across the on-disk round
@@ -301,7 +308,7 @@ fn run_replay_config(workers: u32) -> (BaselineEntry, SimulationReport) {
 }
 
 /// Times the planner-backed path: the `s-resume` workload replayed through
-/// `run_chunked_planned` with one plan cache shared by every shard. All
+/// `ShardedRunner::run` with one plan cache shared by every shard. All
 /// jobs of the benchmark workload share a single analytical profile, so
 /// the cache must collapse the per-job optimizations to one solve; the
 /// merged report must be bit-identical to the uncached `reference` run.
@@ -312,15 +319,20 @@ fn run_plan_cache_config(workers: u32, reference: &SimulationReport) -> PlanCach
         let cache = PlanCache::shared();
         let runner = ShardedRunner::new(sharded_bench_config(workers)).expect("valid config");
         let start = Instant::now();
-        let (report, stats) = runner
-            .run_chunked_planned(&cache, sharded_bench_stream(JOBS), |_, cache| {
+        let options = RunOptions {
+            cache: Some(&cache),
+            trace: None,
+        };
+        let output = runner
+            .run(bench_stream(), options, |_| {
                 Box::new(ResumePolicy::with_cache(
                     ChronosPolicyConfig::testbed(),
-                    cache,
+                    Arc::clone(&cache),
                 ))
             })
             .expect("simulation completes");
-        (start.elapsed(), report, stats)
+        let stats = output.cache_stats.expect("cache stats requested");
+        (start.elapsed(), output.report, stats)
     };
     let (mut wall, report, stats) = sample();
     for _ in 1..TIMING_SAMPLES {
@@ -358,7 +370,7 @@ fn run_plan_cache_config(workers: u32, reference: &SimulationReport) -> PlanCach
     }
 }
 
-/// Times the budgeted-replay path: the `run_chunked_planned` workload with
+/// Times the budgeted-replay path: the plan-cache workload with
 /// every shard's `s-restart` policy wrapped by the budget-capped
 /// water-filling allocator, one plan cache and one [`AllocationLedger`]
 /// shared across shards. Each sample asserts the merged report *and* the
@@ -376,15 +388,16 @@ fn run_budget_config(workers: u32) -> (BudgetEntry, SimulationReport, String) {
             .with_ledger(Arc::clone(&ledger));
         let runner = ShardedRunner::new(sharded_bench_config(workers)).expect("valid config");
         let start = Instant::now();
-        let (report, _stats) = runner
-            .run_chunked_planned(&cache, sharded_bench_stream(JOBS), move |_, cache| {
+        let report = runner
+            .run(bench_stream(), RunOptions::default(), move |_| {
                 builder
                     .clone()
-                    .cached(cache)
+                    .cached(Arc::clone(&cache))
                     .build(PolicyKind::SpeculativeRestart)
                     .expect("s-restart accepts a budget")
             })
-            .expect("simulation completes");
+            .expect("simulation completes")
+            .report;
         (start.elapsed(), report, ledger.digest(), ledger.summary())
     };
     let (mut wall, report, digest, summary) = sample();
@@ -884,7 +897,11 @@ fn check(current: &Baseline) -> Result<(), String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(err) = chronos_bench::check_flags(&args, "--check", "") {
+        eprintln!("bench_baseline: {err} (accepted: --check)");
+        std::process::exit(2);
+    }
     let check_mode = args.iter().any(|a| a == "--check");
     let current = measure();
     if check_mode {

@@ -32,7 +32,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The converted 2011 Google cluster-trace fixture (the output CI's
-/// `trace-convert-smoke` job byte-pins), used when `--trace` is absent.
+/// `trace-convert-smoke` check byte-pins), used when `--trace` is absent.
 const GOLDEN_TRACE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/google2011_converted.trace"

@@ -3,11 +3,13 @@
 //! them (or the equivalent in-memory stream) through the sharded runner,
 //! and reports per-trace profile statistics.
 //!
-//! CI's `trace-replay-smoke` job is the canonical user: it generates a
-//! trace with `TraceWriter`, replays it from the file at 8 workers, replays
-//! the same jobs in-memory at 1 worker, and byte-compares the two report
-//! JSONs — pinning the whole write → parse → shard → merge pipeline to the
-//! in-memory path, worker-count invariance included.
+//! The `trace-replay-smoke` check of `ci/cli_smoke.sh` (run by CI's
+//! `cli-smoke` job, like every `*-smoke` check named below) is the
+//! canonical user: it generates a trace with `TraceWriter`, replays it from
+//! the file at 8 workers, replays the same jobs in-memory at 1 worker, and
+//! byte-compares the two report JSONs — pinning the whole write → parse →
+//! shard → merge pipeline to the in-memory path, worker-count invariance
+//! included.
 //!
 //! ```text
 //! trace_tool generate --jobs N --seed S --out trace.csv [--chunk-size C]
@@ -28,14 +30,16 @@
 //! `--decision-log FILE` enables the deterministic decision trace, writes
 //! the greppable event log to FILE and prints its FNV-1a digest — the
 //! digest and the log bytes are worker-count-invariant (what CI's
-//! `obs-smoke` job pins); recording is off (and costs nothing) without the
+//! `obs-smoke` check pins); recording is off (and costs nothing) without the
 //! flag.
 //!
 //! `serve-replay` feeds the trace's jobs through the `chronos-serve`
 //! admission-control planning server as an arrival stream and prints the
-//! deterministic decision count/digest (what CI's `serve-smoke` job pins)
+//! deterministic decision count/digest (what CI's `serve-smoke` check pins)
 //! plus informational wall-clock latency quantiles.
 //!
+//! Each subcommand rejects a flag it does not declare with exit code 2 and
+//! a usage error naming the flag, so a typo never runs a default instead.
 //! Count-valued flags (`--workers`, `--chunk-size`, `--queue-capacity`)
 //! reject `0` with a usage error naming the flag: a zero would mean "no
 //! worker ever drains" or "no chunk ever forms", never a sensible request.
@@ -44,7 +48,7 @@
 //! cluster-trace `task_events` CSV schema — see `chronos_trace::convert`)
 //! into a validated v1 trace, then prints the distinct-profile census of
 //! the converted output so the plan-cache benefit of a future replay is
-//! visible immediately. CI's `trace-convert-smoke` job byte-compares the
+//! visible immediately. CI's `trace-convert-smoke` check byte-compares the
 //! converted fixture against a golden and replays it at 8 vs 1 workers.
 //!
 //! Both replay forms use the same fixed simulator configuration and seed,
@@ -67,7 +71,7 @@
 //! `deadline-aware`). Non-default placements record a `PlacementDecision`
 //! per assignment into the decision trace, so `--decision-log` digests are
 //! placement-specific yet still worker-count-invariant (what CI's
-//! `placement-smoke` job pins).
+//! `placement-smoke` check pins).
 //!
 //! `--budget B` caps the speculative copies each planning round may grant
 //! (`unlimited`, the default, reproduces the classic per-job optima
@@ -75,7 +79,7 @@
 //! shards and print its integer-only allocation digest after the replay;
 //! because the chunk structure — not the thread schedule — determines the
 //! planning rounds, that digest is identical at any `--workers` count
-//! (what CI's `budget-smoke` job pins). Only the optimizing policies can
+//! (what CI's `budget-smoke` check pins). Only the optimizing policies can
 //! be budgeted; a finite budget on a baseline is a usage error.
 
 use chronos_bench::format as fmt;
@@ -83,6 +87,7 @@ use chronos_serve::prelude::*;
 use chronos_sim::prelude::*;
 use chronos_strategies::prelude::*;
 use chronos_trace::prelude::*;
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -112,36 +117,14 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// The arguments that are not flags or flag values, in order.
-/// `flags_with_value` lists every flag whose following argument is its
-/// value (and therefore not a positional).
-fn positionals<'a>(args: &'a [String], flags_with_value: &[&str]) -> Vec<&'a str> {
-    let mut found = Vec::new();
-    let mut index = 0;
-    while index < args.len() {
-        if flags_with_value.contains(&args[index].as_str()) {
-            index += 2;
-        } else if args[index].starts_with("--") {
-            index += 1;
-        } else {
-            found.push(args[index].as_str());
-            index += 1;
-        }
-    }
-    found
-}
-
-/// Looks up the value following `flag`, parsed with `FromStr`.
+/// Looks up the value of `flag`, parsed with `FromStr`.
 fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match args.iter().position(|a| a == flag) {
+    match chronos_bench::flag_value(args, flag)? {
         None => Ok(None),
-        Some(index) => match args.get(index + 1) {
-            None => Err(format!("{flag} needs a value")),
-            Some(raw) => raw
-                .parse::<T>()
-                .map(Some)
-                .map_err(|_| format!("{flag}: `{raw}` is not a valid value")),
-        },
+        Some(raw) => raw
+            .parse::<T>()
+            .map(Some)
+            .map_err(|_| format!("{flag}: `{raw}` is not a valid value")),
     }
 }
 
@@ -255,34 +238,29 @@ fn replay(args: &[String]) -> Result<(), String> {
     builder
         .build(kind)
         .map_err(|err| format!("--budget: {err}"))?;
-    let build = |_shard: u64, cache: Arc<PlanCache>| {
+    let build = |_shard: u64| {
         builder
             .clone()
-            .cached(cache)
+            .cached(Arc::clone(&cache))
             .build(kind)
             .expect("kind/budget combination validated above")
     };
     // The decision trace records only when asked for: without
-    // `--decision-log` the replay takes the exact unobserved path it always
-    // took, so reports, digests and cache counters cannot move.
-    let observe = decision_log.is_some();
-    let (report, stats, decision_trace) = match trace {
+    // `--decision-log` recording stays off, so reports, digests and cache
+    // counters cannot move.
+    let options = RunOptions {
+        cache: Some(&cache),
+        trace: decision_log.is_some().then_some(None),
+    };
+    let output = match trace {
         Some(path) => {
             let stream = TraceLoader::open(&path)
                 .map_err(|err| format!("opening {}: {err}", path.display()))?
                 .stream(chunk_size)
                 .map_err(|err| err.to_string())?;
-            if observe {
-                let (report, stats, decision_trace) = runner
-                    .run_chunked_fallible_planned_observed(&cache, stream, build, None)
-                    .map_err(|err| format!("replaying {}: {err}", path.display()))?;
-                (report, stats, Some(decision_trace))
-            } else {
-                let (report, stats) = runner
-                    .run_chunked_fallible_planned(&cache, stream, build)
-                    .map_err(|err| format!("replaying {}: {err}", path.display()))?;
-                (report, stats, None)
-            }
+            runner
+                .run(stream, options, build)
+                .map_err(|err| format!("replaying {}: {err}", path.display()))?
         }
         None => {
             let jobs: u32 = flag_value(args, "--jobs")?.ok_or("replay needs --trace or --jobs")?;
@@ -290,24 +268,13 @@ fn replay(args: &[String]) -> Result<(), String> {
             let stream = GoogleTraceConfig::scaled(jobs, seed)
                 .stream(chunk_size)
                 .map_err(|err| format!("trace generation: {err}"))?;
-            if observe {
-                let (report, stats, decision_trace) = runner
-                    .run_chunked_fallible_planned_observed(
-                        &cache,
-                        stream.map(Ok::<_, SimError>),
-                        build,
-                        None,
-                    )
-                    .map_err(|err| format!("replaying in-memory trace: {err}"))?;
-                (report, stats, Some(decision_trace))
-            } else {
-                let (report, stats) = runner
-                    .run_chunked_planned(&cache, stream, build)
-                    .map_err(|err| format!("replaying in-memory trace: {err}"))?;
-                (report, stats, None)
-            }
+            runner
+                .run(stream.map(Ok::<_, Infallible>), options, build)
+                .map_err(|err| format!("replaying in-memory trace: {err}"))?
         }
     };
+    let report = output.report;
+    let stats = output.cache_stats.expect("the replay shares a plan cache");
     write_report(&report, out.as_deref())?;
     if stats.lookups() == 0 {
         println!("{}", fmt::plan_cache_untouched_line(kind.label()));
@@ -328,7 +295,9 @@ fn replay(args: &[String]) -> Result<(), String> {
         println!("{}", fmt::allocation_digest_line(&ledger.digest()));
     }
     if let Some(path) = &decision_log {
-        let decision_trace = decision_trace.expect("observed path ran when --decision-log is set");
+        let decision_trace = output
+            .trace
+            .expect("trace recorded when --decision-log is set");
         std::fs::write(path, decision_trace.render_log())
             .map_err(|err| format!("writing {}: {err}", path.display()))?;
         println!(
@@ -357,7 +326,7 @@ fn replay(args: &[String]) -> Result<(), String> {
 /// The decision count and [`decisions_digest`] printed here are
 /// deterministic — a pure function of the trace and the policy config,
 /// independent of `--workers` and `--queue-capacity` — which is what CI's
-/// `serve-smoke` job pins. The latency quantiles are wall-clock and
+/// `serve-smoke` check pins. The latency quantiles are wall-clock and
 /// informational only.
 fn serve_replay(args: &[String]) -> Result<(), String> {
     let trace: PathBuf = flag_value(args, "--trace")?.ok_or("serve-replay needs --trace")?;
@@ -490,7 +459,7 @@ fn convert(args: &[String]) -> Result<(), String> {
     })?;
     let deadline_factor: Option<f64> = flag_value(args, "--deadline-factor")?;
     let chunk_size = nonzero_flag_value(args, "--chunk-size", DEFAULT_CHUNK_SIZE)?;
-    let positional = positionals(args, &["--format", "--deadline-factor", "--chunk-size"]);
+    let positional = chronos_bench::check_flags(args, "", CONVERT_FLAGS)?;
     let [input, output] = positional.as_slice() else {
         return Err(format!(
             "convert needs exactly two positional arguments (IN OUT), got {}",
@@ -541,17 +510,32 @@ fn convert(args: &[String]) -> Result<(), String> {
     print_census(Path::new(output), chunk_size)
 }
 
+// The flags a subcommand declares (each takes a value); the short lists
+// sit in `main`.
+const CONVERT_FLAGS: &str = "--format --deadline-factor --chunk-size";
+const REPLAY_FLAGS: &str = "--trace --jobs --seed --policy --budget --placement --workers \
+     --chunk-size --out --metrics-out --decision-log";
+const SERVE_REPLAY_FLAGS: &str =
+    "--trace --workers --queue-capacity --chunk-size --metrics-out --decision-log";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let outcome = match args.get(1).map(String::as_str) {
-        Some("generate") => generate(&args[2..]),
-        Some("convert") => convert(&args[2..]),
-        Some("replay") => replay(&args[2..]),
-        Some("serve-replay") => serve_replay(&args[2..]),
-        Some("stats") => stats(&args[2..]),
+    type Subcommand = fn(&[String]) -> Result<(), String>;
+    let (subcommand, flags): (Subcommand, &str) = match args.get(1).map(String::as_str) {
+        Some("generate") => (generate, "--jobs --seed --out --chunk-size"),
+        Some("convert") => (convert, CONVERT_FLAGS),
+        Some("replay") => (replay, REPLAY_FLAGS),
+        Some("serve-replay") => (serve_replay, SERVE_REPLAY_FLAGS),
+        Some("stats") => (stats, "--trace --chunk-size"),
         _ => return usage(),
     };
-    match outcome {
+    // A flag the subcommand does not declare is a usage error, never
+    // silently ignored.
+    if let Err(message) = chronos_bench::check_flags(&args[2..], "", flags) {
+        eprintln!("trace_tool {}: {message}", args[1]);
+        return usage();
+    }
+    match subcommand(&args[2..]) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("trace_tool: {message}");

@@ -1,9 +1,10 @@
 //! The one formatter behind every greppable `trace_tool` summary line.
 //!
-//! CI pins several of these strings verbatim (`serve-smoke` greps
-//! `planned 7 jobs at 8 workers (7 feasible)`, `budget-smoke` extracts
-//! `allocation digest: …`, `obs-smoke` compares `decision trace digest: …`
-//! across worker counts), and humans grep the rest. Before this module each
+//! CI pins several of these strings verbatim (in `ci/cli_smoke.sh`,
+//! `serve-smoke` greps `planned 7 jobs at 8 workers (7 feasible)`,
+//! `budget-smoke` extracts `allocation digest: …`, `obs-smoke` compares
+//! `decision trace digest: …` across worker counts), and humans grep the
+//! rest. Before this module each
 //! subcommand carried its own `println!` copies, so two commands could
 //! drift apart silently — `replay` and `serve-replay` once rendered the
 //! same cache stats under different prefixes. Every summary line now has

@@ -199,6 +199,62 @@ pub fn sharded_bench_config(workers: u32) -> SimConfig {
     }
 }
 
+/// Checks command-line arguments (without the program name) against the
+/// flags a binary accepts, each list space-separated: `switches` stand
+/// alone, `valued` flags take the next argument or a joined `=value`.
+/// Returns the positionals (neither flags nor flag values) in order.
+///
+/// # Errors
+///
+/// Names the first flag that is not accepted. A mistyped flag must not be
+/// ignored: `--polcy s-resume` would otherwise silently run the default
+/// policy and publish the wrong numbers.
+pub fn check_flags<'a>(
+    args: &'a [String],
+    switches: &str,
+    valued: &str,
+) -> Result<Vec<&'a str>, String> {
+    let listed = |list: &str, flag: &str| list.split_whitespace().any(|known| known == flag);
+    let mut positionals = Vec::new();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if listed(valued, arg) {
+            args.next();
+        } else if !arg.starts_with('-') {
+            positionals.push(arg);
+        } else if !listed(switches, arg)
+            && !arg
+                .split_once('=')
+                .is_some_and(|(name, _)| listed(valued, name))
+        {
+            return Err(format!("unknown flag `{arg}`"));
+        }
+    }
+    Ok(positionals)
+}
+
+/// The value of `flag` in `args`: the argument after it, or the text after
+/// `flag=`. The first occurrence wins.
+///
+/// # Errors
+///
+/// A `flag` that ends the argument list has no value.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if arg == flag {
+            return args.next().map(Some).ok_or(format!("{flag} needs a value"));
+        }
+        if let Some(joined) = arg
+            .strip_prefix(flag)
+            .and_then(|rest| rest.strip_prefix('='))
+        {
+            return Ok(Some(joined));
+        }
+    }
+    Ok(None)
+}
+
 /// Parses an optional `--trace <path>` flag from an explicit flag list
 /// (testable form of [`trace_path_from_args`]). Accepts both the
 /// space-separated (`--trace file`) and `=`-joined (`--trace=file`) forms.
@@ -209,18 +265,9 @@ pub fn sharded_bench_config(workers: u32) -> SimConfig {
 /// to synthetic data when the user asked for a file would silently publish
 /// the wrong numbers.
 pub fn trace_path_from_flags(flags: &[String]) -> Result<Option<PathBuf>, String> {
-    if let Some(joined) = flags.iter().find_map(|flag| flag.strip_prefix("--trace=")) {
-        if joined.is_empty() {
-            return Err("--trace= needs a path".into());
-        }
-        return Ok(Some(PathBuf::from(joined)));
-    }
-    match flags.iter().position(|flag| flag == "--trace") {
-        None => Ok(None),
-        Some(index) => match flags.get(index + 1) {
-            Some(path) => Ok(Some(PathBuf::from(path))),
-            None => Err("--trace needs a path".into()),
-        },
+    match flag_value(flags, "--trace")? {
+        Some("") => Err("--trace needs a path".into()),
+        path => Ok(path.map(PathBuf::from)),
     }
 }
 
@@ -284,7 +331,7 @@ pub fn write_sharded_bench_trace(path: &Path, jobs: u32) -> Result<(), TraceWrit
 }
 
 /// Replays a trace file written by [`write_sharded_bench_trace`] through
-/// `ShardedRunner::run_chunked_fallible` under [`sharded_bench_config`]
+/// `ShardedRunner::run` under [`sharded_bench_config`]
 /// with the Hadoop-NS policy — the replay path the baseline and bench time.
 /// Panics on any parse or simulation error (bench context).
 #[must_use]
@@ -295,8 +342,11 @@ pub fn replay_sharded_bench_trace(path: &Path, jobs: u32, workers: u32) -> Simul
         .stream(sharded_bench_chunk_size(jobs))
         .expect("non-zero chunk size");
     runner
-        .run_chunked_fallible(stream, |_| Box::new(HadoopNoSpec::default()))
+        .run(stream, RunOptions::default(), |_| {
+            Box::new(HadoopNoSpec::default())
+        })
         .expect("bench trace replays")
+        .report
 }
 
 /// Experiment scale selected on the command line: `--quick` shrinks the
@@ -315,22 +365,37 @@ pub enum Scale {
 
 impl Scale {
     /// Parses the scale from process arguments (`--quick` / `--paper`).
+    /// An unknown flag prints a diagnostic and exits 2.
     #[must_use]
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
-        Scale::from_flags(&args)
+        Scale::from_flags(&args).unwrap_or_else(|err| {
+            eprintln!("{err}");
+            std::process::exit(2);
+        })
     }
 
-    /// Parses the scale from an explicit flag list (testable form).
-    #[must_use]
-    pub fn from_flags(flags: &[String]) -> Self {
-        if flags.iter().any(|a| a == "--quick") {
+    /// Parses the scale from an explicit argument list, program name first
+    /// (testable form). `--quick` wins over `--paper`.
+    ///
+    /// # Errors
+    ///
+    /// Any flag besides `--quick`, `--paper` and `--trace <path>` (the set
+    /// `all_experiments` forwards to every experiment binary).
+    pub fn from_flags(flags: &[String]) -> Result<Self, String> {
+        check_flags(
+            flags.get(1..).unwrap_or_default(),
+            "--quick --paper",
+            "--trace",
+        )
+        .map_err(|err| format!("{err} (accepted: --quick, --paper, --trace <path>)"))?;
+        Ok(if flags.iter().any(|a| a == "--quick") {
             Scale::Quick
         } else if flags.iter().any(|a| a == "--paper") {
             Scale::Paper
         } else {
             Scale::Standard
-        }
+        })
     }
 
     /// Number of jobs per benchmark for the Figure 2 workload.
@@ -511,28 +576,33 @@ pub fn figure3_lineup_cached(
 #[must_use]
 pub fn report_digest(report: &SimulationReport) -> String {
     let json = serde_json::to_string(report).expect("reports serialize");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in json.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    format!("{hash:016x}")
+    let mut digest = Digest::default();
+    digest.write(json.as_bytes());
+    digest.finish_hex()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|arg| (*arg).to_string()).collect()
+    }
+
     #[test]
     fn scale_parsing() {
-        assert_eq!(Scale::from_flags(&["bin".into()]), Scale::Standard);
+        assert_eq!(Scale::from_flags(&args(&["bin"])), Ok(Scale::Standard));
         assert_eq!(
-            Scale::from_flags(&["bin".into(), "--quick".into()]),
-            Scale::Quick
+            Scale::from_flags(&args(&["bin", "--quick"])),
+            Ok(Scale::Quick)
         );
         assert_eq!(
-            Scale::from_flags(&["bin".into(), "--paper".into()]),
-            Scale::Paper
+            Scale::from_flags(&args(&["bin", "--paper"])),
+            Ok(Scale::Paper)
+        );
+        assert_eq!(
+            Scale::from_flags(&args(&["bin", "--paper", "--trace", "t.csv", "--quick"])),
+            Ok(Scale::Quick)
         );
         assert!(Scale::Quick.fig2_jobs() < Scale::Paper.fig2_jobs());
         assert!(Scale::Quick.trace_jobs() < Scale::Paper.trace_jobs());
@@ -598,6 +668,24 @@ mod tests {
     }
 
     #[test]
+    fn scale_parsing_rejects_unknown_flags() {
+        // A typo must not silently run Standard scale; the path after
+        // `--trace` is a value, never a flag.
+        let err = Scale::from_flags(&args(&["bin", "--trace", "-t.csv", "--quik"])).unwrap_err();
+        assert!(err.starts_with("unknown flag `--quik`"), "{err}");
+        // Positionals pass; `=value` joins only valued flags.
+        let flags = args(&["in", "--check", "--out", "-x", "--out=y", "out"]);
+        assert_eq!(
+            check_flags(&flags, "--check", "--out"),
+            Ok(vec!["in", "out"])
+        );
+        for bad in ["--chek", "--check=1", "-c"] {
+            let err = check_flags(&args(&[bad]), "--check", "--out").unwrap_err();
+            assert_eq!(err, format!("unknown flag `{bad}`"));
+        }
+    }
+
+    #[test]
     fn trace_flag_parsing() {
         assert_eq!(trace_path_from_flags(&["bin".into()]), Ok(None));
         assert_eq!(
@@ -627,11 +715,13 @@ mod tests {
         let replayed = replay_sharded_bench_trace(&path, jobs, 2);
         let runner = ShardedRunner::new(sharded_bench_config(1)).unwrap();
         let direct = runner
-            .run_chunked(sharded_bench_stream(jobs), |_| {
-                Box::new(HadoopNoSpec::default())
-            })
+            .run(
+                sharded_bench_stream(jobs).map(Ok::<_, std::convert::Infallible>),
+                RunOptions::default(),
+                |_| Box::new(HadoopNoSpec::default()),
+            )
             .unwrap();
-        assert_eq!(replayed, direct);
+        assert_eq!(replayed, direct.report);
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -3,8 +3,8 @@
 //! Google-cluster-trace `task_events` fixture must convert to a v1 trace
 //! that (a) byte-matches its checked-in golden, (b) round-trips bit-exactly
 //! through `TraceWriter`/`TraceLoader`, and (c) replays through the
-//! planner-backed `ShardedRunner::run_chunked_planned` bit-identically at
-//! 1 and 8 workers. CI's `trace-convert-smoke` job repeats (a) and (c)
+//! planner-backed `ShardedRunner::run` bit-identically at
+//! 1 and 8 workers. CI's `trace-convert-smoke` check repeats (a) and (c)
 //! through the `trace_tool convert`/`replay` command line.
 //!
 //! The fixture is a hand-trimmed excerpt in the real `task_events` shape
@@ -19,7 +19,6 @@
 use chronos_sim::prelude::*;
 use chronos_strategies::prelude::*;
 use chronos_trace::prelude::*;
-use std::sync::Arc;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -113,11 +112,16 @@ fn converted_trace_replays_bit_identically_at_1_and_8_workers() {
             .expect("valid header")
             .stream(2)
             .expect("valid chunk size");
-        let (report, stats) = runner
-            .run_chunked_fallible_planned(&cache, stream, |_, cache: Arc<PlanCache>| {
+        let options = RunOptions {
+            cache: Some(&cache),
+            trace: None,
+        };
+        let output = runner
+            .run(stream, options, |_| {
                 PolicyKind::SpeculativeResume.build_with_cache(chronos_config, &cache)
             })
             .expect("replay succeeds");
+        let (report, stats) = (output.report, output.cache_stats.unwrap());
         assert_eq!(report.job_count(), 7);
         // One solve per distinct profile, at any worker count.
         assert_eq!(stats.misses, 7);

@@ -2,7 +2,7 @@
 //! Google-2011 trace with the decision recorder on must produce — at any
 //! worker count — the identical decision log, the identical FNV-1a trace
 //! digest, and the identical Prometheus metrics snapshot, byte for byte.
-//! CI's `obs-smoke` job repeats the pin through the `trace_tool replay
+//! CI's `obs-smoke` check repeats the pin through the `trace_tool replay
 //! --decision-log` command line.
 //!
 //! If an intentional policy/optimizer/engine change shifts the events,
@@ -55,24 +55,24 @@ fn observed_replay(workers: u32) -> (SimulationReport, DecisionTrace, String) {
         .expect("golden trace exists")
         .stream(512)
         .expect("golden trace parses");
-    let (report, stats, trace) = runner
-        .run_chunked_fallible_planned_observed(
-            &cache,
-            stream,
-            |_shard, cache: Arc<PlanCache>| {
-                builder
-                    .clone()
-                    .cached(cache)
-                    .build(kind)
-                    .expect("buildable policy")
-            },
-            None,
-        )
+    let options = RunOptions {
+        cache: Some(&cache),
+        trace: Some(None),
+    };
+    let output = runner
+        .run(stream, options, |_shard| {
+            builder
+                .clone()
+                .cached(Arc::clone(&cache))
+                .build(kind)
+                .expect("buildable policy")
+        })
         .expect("golden replay succeeds");
     let mut registry = MetricsRegistry::new();
-    report.export_metrics(&mut registry);
-    stats.export_metrics(&mut registry);
-    (report, trace, registry.render_prometheus())
+    output.report.export_metrics(&mut registry);
+    output.cache_stats.unwrap().export_metrics(&mut registry);
+    let trace = output.trace.unwrap();
+    (output.report, trace, registry.render_prometheus())
 }
 
 #[test]

@@ -9,6 +9,8 @@ use chronos_bench::load_trace_jobs;
 use chronos_sim::prelude::*;
 use chronos_strategies::prelude::*;
 use chronos_trace::prelude::*;
+use std::convert::Infallible;
+use std::sync::Arc;
 
 const JOBS_PER_BENCHMARK: u32 = 25_000;
 const CHUNK_SIZE: usize = 2_048;
@@ -37,8 +39,10 @@ fn repeated_profile_jobs() -> Vec<JobSpec> {
 }
 
 /// The chunk (= shard) structure every run below must share.
-fn chunks_of(jobs: &[JobSpec]) -> Vec<Vec<JobSpec>> {
-    jobs.chunks(CHUNK_SIZE).map(<[JobSpec]>::to_vec).collect()
+fn chunks_of(jobs: &[JobSpec]) -> Vec<Result<Vec<JobSpec>, Infallible>> {
+    jobs.chunks(CHUNK_SIZE)
+        .map(|chunk| Ok(chunk.to_vec()))
+        .collect()
 }
 
 fn config(workers: u32) -> SimConfig {
@@ -63,10 +67,11 @@ fn planner_backed_replay_is_bit_identical_to_the_uncached_path_at_scale() {
     // Reference: the uncached path — every job pays its own optimizer run.
     let uncached = ShardedRunner::new(config(8))
         .expect("valid config")
-        .run_chunked(chunks.clone(), |_| {
+        .run(chunks.clone(), RunOptions::default(), |_| {
             Box::new(ResumePolicy::uncached(chronos))
         })
-        .expect("uncached replay completes");
+        .expect("uncached replay completes")
+        .report;
     assert_eq!(uncached.job_count(), 100_000);
 
     // Planner-backed in-memory replay at 1 and 8 workers: bit-identical
@@ -74,12 +79,17 @@ fn planner_backed_replay_is_bit_identical_to_the_uncached_path_at_scale() {
     // counters.
     for workers in [1u32, 8] {
         let cache = PlanCache::shared();
-        let (planned, stats) = ShardedRunner::new(config(workers))
+        let options = RunOptions {
+            cache: Some(&cache),
+            trace: None,
+        };
+        let output = ShardedRunner::new(config(workers))
             .expect("valid config")
-            .run_chunked_planned(&cache, chunks.clone(), |_, cache| {
-                Box::new(ResumePolicy::with_cache(chronos, cache))
+            .run(chunks.clone(), options, |_| {
+                Box::new(ResumePolicy::with_cache(chronos, Arc::clone(&cache)))
             })
             .expect("planned replay completes");
+        let (planned, stats) = (output.report, output.cache_stats.unwrap());
         assert_eq!(
             planned, uncached,
             "planner-backed replay diverged from the uncached path at {workers} workers"
@@ -109,12 +119,17 @@ fn planner_backed_replay_is_bit_identical_to_the_uncached_path_at_scale() {
         .expect("trace opens")
         .stream(CHUNK_SIZE as u32)
         .expect("non-zero chunk size");
-    let (replayed, stats) = ShardedRunner::new(config(8))
+    let options = RunOptions {
+        cache: Some(&cache),
+        trace: None,
+    };
+    let output = ShardedRunner::new(config(8))
         .expect("valid config")
-        .run_chunked_fallible_planned(&cache, stream, |_, cache| {
-            Box::new(ResumePolicy::with_cache(chronos, cache))
+        .run(stream, options, |_| {
+            Box::new(ResumePolicy::with_cache(chronos, Arc::clone(&cache)))
         })
         .expect("file replay completes");
+    let (replayed, stats) = (output.report, output.cache_stats.unwrap());
     assert_eq!(
         replayed, uncached,
         "planner-backed file replay diverged from the uncached in-memory path"

@@ -2,7 +2,7 @@
 //! Google-2011 trace through the `chronos-serve` admission server must
 //! produce the same decisions — count, feasibility, strategy, copies — at
 //! any worker count, bit-for-bit, and those decisions are pinned by
-//! digest. CI's `serve-smoke` job repeats the pin through the
+//! digest. CI's `serve-smoke` check repeats the pin through the
 //! `trace_tool serve-replay` command line.
 //!
 //! If an intentional policy/optimizer change shifts the decisions,

@@ -1,9 +1,11 @@
-//! CLI contract of `trace_tool`: count-valued flags reject `0` with a
-//! typed usage error naming the flag, on every subcommand that accepts
-//! them. These used to be silently accepted — `--chunk-size 0` made the
-//! loader produce no chunks (a replay over zero jobs) and `--workers 0`
-//! built a runner no worker ever drained — so each case here is a
-//! regression test against reverting to the permissive parse.
+//! CLI contract of `trace_tool` (and the flag check it shares with the
+//! experiment binaries): undeclared flags exit 2 naming the flag, and
+//! count-valued flags reject `0` with a typed usage error naming the flag,
+//! on every subcommand that accepts them. Both used to be silently
+//! accepted — `--polcy s-resume` ran the default policy, `--chunk-size 0`
+//! made the loader produce no chunks (a replay over zero jobs) and
+//! `--workers 0` built a runner no worker ever drained — so each case here
+//! is a regression test against reverting to the permissive parse.
 //!
 //! The happy-path case doubles as an offline copy of CI's `serve-smoke`
 //! job: `serve-replay` over the checked-in converted Google-2011 trace
@@ -43,30 +45,16 @@ fn assert_rejects_zero(args: &[&str], flag: &str) {
 
 #[test]
 fn replay_rejects_zero_workers_and_zero_chunk_size() {
-    assert_rejects_zero(
-        &["replay", "--trace", GOLDEN, "--workers", "0"],
-        "--workers",
-    );
-    assert_rejects_zero(
-        &["replay", "--trace", GOLDEN, "--chunk-size", "0"],
-        "--chunk-size",
-    );
+    for flag in ["--workers", "--chunk-size"] {
+        assert_rejects_zero(&["replay", "--trace", GOLDEN, flag, "0"], flag);
+    }
 }
 
 #[test]
 fn serve_replay_rejects_zero_count_flags() {
-    assert_rejects_zero(
-        &["serve-replay", "--trace", GOLDEN, "--workers", "0"],
-        "--workers",
-    );
-    assert_rejects_zero(
-        &["serve-replay", "--trace", GOLDEN, "--queue-capacity", "0"],
-        "--queue-capacity",
-    );
-    assert_rejects_zero(
-        &["serve-replay", "--trace", GOLDEN, "--chunk-size", "0"],
-        "--chunk-size",
-    );
+    for flag in ["--workers", "--queue-capacity", "--chunk-size"] {
+        assert_rejects_zero(&["serve-replay", "--trace", GOLDEN, flag, "0"], flag);
+    }
 }
 
 #[test]
@@ -114,7 +102,7 @@ fn serve_replay_prints_the_pinned_decision_count_and_digest() {
         String::from_utf8_lossy(&output.stderr)
     );
     let stdout = String::from_utf8_lossy(&output.stdout);
-    // The same pins CI's serve-smoke job greps for; the digest literal is
+    // The same pins CI's serve-smoke check greps for; the digest literal is
     // shared with tests/serve_replay.rs.
     assert!(
         stdout.contains("planned 7 jobs at 8 workers (7 feasible)"),
@@ -124,4 +112,41 @@ fn serve_replay_prints_the_pinned_decision_count_and_digest() {
         stdout.contains("decisions digest: 3969606c572cc471"),
         "unexpected serve-replay digest: {stdout}"
     );
+}
+
+#[test]
+fn undeclared_flags_exit_2_naming_the_flag() {
+    // `--polcy s-resume` once silently replayed the default hadoop-ns. In
+    // each case the last flag is the unknown one.
+    for case in [
+        "trace_tool replay --trace GOLDEN --polcy s-resume",
+        "trace_tool serve-replay --trace GOLDEN --policy clone",
+        "trace_tool stats --trace GOLDEN --quick",
+        "trace_tool generate --jobs 4 --seed 1 --out unused.csv -v",
+        "trace_tool convert in.csv out.csv --format google-2011 --force",
+        "fig2 --quik",
+        "fig3 --trace GOLDEN --seed 3",
+        "all_experiments --quick --verbose",
+        "bench_baseline --chek",
+    ] {
+        let mut words = case.split(' ');
+        let program = match words.next() {
+            Some("trace_tool") => TRACE_TOOL,
+            Some("fig2") => env!("CARGO_BIN_EXE_fig2"),
+            Some("fig3") => env!("CARGO_BIN_EXE_fig3"),
+            Some("all_experiments") => env!("CARGO_BIN_EXE_all_experiments"),
+            _ => env!("CARGO_BIN_EXE_bench_baseline"),
+        };
+        let args: Vec<&str> = words
+            .map(|w| if w == "GOLDEN" { GOLDEN } else { w })
+            .collect();
+        let output = Command::new(program).args(&args).output().expect("spawns");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{case}: {stderr}");
+        let flag = args.iter().rev().find(|arg| arg.starts_with('-')).unwrap();
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{case}: {stderr}"
+        );
+    }
 }

@@ -5,7 +5,7 @@
 //! The paper's pitch is *explainable* speculation — every extra copy exists
 //! because a closed-form utility/PoCD calculation justified it — so the
 //! audit trail has to be as reproducible as the decisions themselves. This
-//! crate provides three building blocks, all worker-count-invariant by
+//! crate provides four building blocks, all worker-count-invariant by
 //! construction:
 //!
 //! * [`MetricsRegistry`] — typed counters / gauges / histograms forming a
@@ -18,6 +18,8 @@
 //!   grant/deny, serve admission/overload) with an integer-only FNV-1a
 //!   digest that is bit-identical across worker counts, and a
 //!   line-oriented rendering suitable for byte-exact golden comparison.
+//! * [`Digest`] — the FNV-1a 64 accumulator every pinned digest in the
+//!   workspace is built from.
 //! * [`span`] — two-clock phase timing: sim-time spans are plain
 //!   [`TraceEvent::Phase`] records (digest-safe); wall-clock spans live
 //!   behind the `wallclock` feature and are never hashed.
@@ -32,15 +34,18 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 
+pub mod digest;
 pub mod metrics;
 pub mod span;
 pub mod trace;
 
+pub use digest::Digest;
 pub use metrics::{HistogramMetric, MetricValue, MetricsRegistry};
 pub use trace::{DecisionTrace, TraceEvent, TraceRecord};
 
 /// Convenient glob-import surface.
 pub mod prelude {
+    pub use crate::digest::Digest;
     pub use crate::metrics::{HistogramMetric, MetricValue, MetricsRegistry};
     pub use crate::span::sim_span;
     #[cfg(feature = "wallclock")]

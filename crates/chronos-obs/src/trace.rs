@@ -18,6 +18,7 @@
 //!   deterministic totals instead ([`TraceEvent::PlanCacheReport`]) or are
 //!   documented as load-dependent ([`TraceEvent::ServeOverloaded`]).
 
+use crate::digest::Digest;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -420,19 +421,14 @@ impl DecisionTrace {
     /// contract.
     #[must_use]
     pub fn digest(&self) -> String {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for byte in bytes {
-                hash ^= u64::from(*byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut digest = Digest::default();
+        let mut eat = |bytes: &[u8]| digest.write(bytes);
         eat(&(self.records.len() as u64).to_le_bytes());
         for record in &self.records {
             eat(&record.at_micros.to_le_bytes());
             record.event.eat(&mut eat);
         }
-        format!("{hash:016x}")
+        digest.finish_hex()
     }
 
     /// Renders the whole trace as a newline-terminated decision log, one

@@ -205,18 +205,12 @@ impl Allocation {
 /// [`AllocationLedger::digest`] so a single-batch digest and a one-batch
 /// ledger digest agree.
 fn grants_digest(pairs: impl Iterator<Item = (u64, u32)>) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for byte in bytes {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut digest = chronos_obs::Digest::default();
     for (job, copies) in pairs {
-        eat(&job.to_le_bytes());
-        eat(&copies.to_le_bytes());
+        digest.write(&job.to_le_bytes());
+        digest.write(&copies.to_le_bytes());
     }
-    format!("{hash:016x}")
+    digest.finish_hex()
 }
 
 /// Distributes `budget` speculative copies across `jobs` by the greedy

@@ -3,7 +3,7 @@
 
 use crate::queue::{BoundedQueue, PushError};
 use chronos_core::prelude::*;
-use chronos_obs::{DecisionTrace, MetricsRegistry, TraceEvent};
+use chronos_obs::{DecisionTrace, Digest, MetricsRegistry, TraceEvent};
 use chronos_plan::{CacheStats, PlanCache, PlanResult, Planner, ProfileKey, SpeculationBudget};
 use chronos_sim::prelude::{JobId, JobSpec, JobSubmitView, LatencyHistogram};
 use chronos_strategies::prelude::{
@@ -803,7 +803,7 @@ fn debit_budget(remaining: &AtomicU64, decision: AdmissionDecision) -> Admission
 /// of the same decisions produces the same digest. Float fields (PoCD,
 /// cost, utility) are deliberately excluded: they flow through platform
 /// libm, and this digest is hard-checked across hosts by the baseline's
-/// `--check` mode and CI's `serve-smoke` job.
+/// `--check` mode and CI's `serve-smoke` check.
 /// [`AdmissionDecision::remaining_budget`] is excluded too — it is a
 /// serving-side observability field, and under a finite budget the grant
 /// sequence (and so the digest-relevant `copies` values) already depends on
@@ -813,21 +813,15 @@ fn debit_budget(remaining: &AtomicU64, decision: AdmissionDecision) -> Admission
 pub fn decisions_digest(responses: &[ServeResponse]) -> String {
     let mut ordered: Vec<&ServeResponse> = responses.iter().collect();
     ordered.sort_unstable_by_key(|response| response.request_id);
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for byte in bytes {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut digest = Digest::default();
     for response in ordered {
-        eat(&response.request_id.to_le_bytes());
-        eat(&response.job.raw().to_le_bytes());
-        eat(&[u8::from(response.decision.feasible)]);
-        eat(&[strategy_ordinal(response.decision.strategy)]);
-        eat(&response.decision.copies.to_le_bytes());
+        digest.write(&response.request_id.to_le_bytes());
+        digest.write(&response.job.raw().to_le_bytes());
+        digest.write(&[u8::from(response.decision.feasible)]);
+        digest.write(&[strategy_ordinal(response.decision.strategy)]);
+        digest.write(&response.decision.copies.to_le_bytes());
     }
-    format!("{hash:016x}")
+    digest.finish_hex()
 }
 
 /// The stable one-byte encoding of a strategy choice, shared by

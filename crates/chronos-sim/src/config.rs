@@ -174,7 +174,7 @@ pub struct ShardSpec {
     /// core count, so auto-configured runs stay reproducible across hosts.
     pub shards: u32,
     /// Worker threads executing shards. `0` resolves to the machine's
-    /// available parallelism, clamped to the shard count.
+    /// available parallelism; the runner clamps it to the chunk count.
     pub workers: u32,
 }
 
@@ -211,11 +211,10 @@ impl ShardSpec {
         }
     }
 
-    /// The requested worker count before any shard-count clamping: the
-    /// explicit value, or the machine's available parallelism when `0`.
-    /// This is what the chunked runner uses, since there the number of
-    /// shards is the (unknown ahead of time) number of chunks, not
-    /// [`ShardSpec::resolved_shards`].
+    /// The requested worker count: the explicit value, or the machine's
+    /// available parallelism when `0`. The sharded runner clamps it to the
+    /// chunk count when its source reports one (extra threads would only
+    /// idle).
     #[must_use]
     pub fn requested_workers(&self) -> u32 {
         let requested = if self.workers == 0 {
@@ -226,15 +225,6 @@ impl ShardSpec {
             self.workers
         };
         requested.max(1)
-    }
-
-    /// The effective worker count for a run over
-    /// [`ShardSpec::resolved_shards`] shards: [`ShardSpec::requested_workers`]
-    /// clamped to the shard count (more workers than shards would only
-    /// idle).
-    #[must_use]
-    pub fn resolved_workers(&self) -> u32 {
-        self.requested_workers().clamp(1, self.resolved_shards())
     }
 
     /// Validates the specification. All values are currently valid (zero
@@ -455,25 +445,17 @@ mod tests {
     fn shard_spec_resolution() {
         let auto = ShardSpec::default();
         assert_eq!(auto.resolved_shards(), ShardSpec::DEFAULT_SHARDS);
-        assert!(auto.resolved_workers() >= 1);
-        assert!(auto.resolved_workers() <= auto.resolved_shards());
+        assert!(auto.requested_workers() >= 1);
 
         let single = ShardSpec::single();
         assert_eq!(single.resolved_shards(), 1);
-        assert_eq!(single.resolved_workers(), 1);
+        assert_eq!(single.requested_workers(), 1);
 
-        // Workers are clamped to the shard count: extra threads would idle.
-        // The chunked runner asks for the unclamped request instead, since
-        // its shard count is the chunk count.
+        // The spec does not clamp workers to shards: the runner clamps to
+        // the chunk count its source reports.
         let oversubscribed = ShardSpec::new(4, 64);
         assert_eq!(oversubscribed.resolved_shards(), 4);
-        assert_eq!(oversubscribed.resolved_workers(), 4);
         assert_eq!(oversubscribed.requested_workers(), 64);
-
-        // Auto workers on an explicit shard count stay within it too.
-        let capped = ShardSpec::new(2, 0);
-        assert!(capped.resolved_workers() >= 1);
-        assert!(capped.resolved_workers() <= 2);
         assert!(ShardSpec::default().validate().is_ok());
     }
 

@@ -66,5 +66,5 @@ pub use error::SimError;
 pub use job::{JobSpec, TaskSpec};
 pub use metrics::{JobMetrics, LatencyHistogram, SimulationReport};
 pub use policy::{NoSpeculation, SpeculationPolicy};
-pub use shard::{shard_seed, ReplayError, ShardedRunner};
+pub use shard::{shard_seed, ReplayError, RunOptions, RunOutput, ShardedRunner};
 pub use time::{SimDuration, SimTime};

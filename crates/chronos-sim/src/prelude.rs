@@ -19,7 +19,9 @@ pub use crate::progress::{
     estimate_completion, estimate_completion_chronos, estimate_completion_hadoop,
     estimate_resume_offset, estimation_error_secs, first_progress_report, ProgressReport,
 };
-pub use crate::shard::{shard_seed, splitmix64, PolicyFactory, ReplayError, ShardedRunner};
+pub use crate::shard::{
+    shard_seed, splitmix64, PolicyFactory, ReplayError, RunOptions, RunOutput, ShardedRunner,
+};
 pub use crate::time::{SimDuration, SimTime};
 // The planner types the sharded runner's planner-backed path exchanges with
 // policies; re-exported so policy implementors need no direct
@@ -28,4 +30,4 @@ pub use chronos_plan::{CacheStats, PlanCache, PlanRequest, Planner, SpeculationB
 // The observability types the engine's decision tracing and the report's
 // metrics export exchange with callers; re-exported so trace consumers
 // need no direct `chronos-obs` dependency.
-pub use chronos_obs::{DecisionTrace, MetricsRegistry, TraceEvent, TraceRecord};
+pub use chronos_obs::{DecisionTrace, Digest, MetricsRegistry, TraceEvent, TraceRecord};

@@ -10,10 +10,11 @@
 //! # The determinism contract
 //!
 //! 1. **Shards are the unit of randomness.** A workload is split into
-//!    `N = SimConfig::sharding.resolved_shards()` shards (or one shard per
-//!    chunk when streaming). Shard `i` runs an ordinary [`Simulation`] whose
-//!    seed is [`shard_seed`]`(config.seed, i)` — a splitmix64 mix of the
-//!    base seed and the shard index. Because the mix's finalizer is a
+//!    shards, one per chunk of the job source
+//!    ([`ShardedRunner::round_robin`] cuts a job list into
+//!    `SimConfig::sharding.resolved_shards()` chunks). Shard `i` runs an
+//!    ordinary [`Simulation`] whose seed is [`shard_seed`]`(config.seed,
+//!    i)` — a splitmix64 mix of the base seed and the shard index. Because the mix's finalizer is a
 //!    bijection on `u64`, distinct shard indices can never collide for a
 //!    fixed base seed, so shards draw from provably disjoint deterministic
 //!    RNG streams.
@@ -33,15 +34,18 @@
 //!
 //! ```
 //! use chronos_sim::prelude::*;
+//! use std::convert::Infallible;
 //!
-//! # fn main() -> Result<(), SimError> {
+//! # fn main() -> Result<(), ReplayError<Infallible>> {
 //! let config = SimConfig::default().with_sharding(ShardSpec::new(4, 2));
-//! let runner = ShardedRunner::new(config)?;
+//! let runner = ShardedRunner::new(config).map_err(ReplayError::Sim)?;
 //! let jobs: Vec<JobSpec> = (0..100)
 //!     .map(|i| JobSpec::new(JobId::new(i), SimTime::from_secs(i as f64), 300.0, 4))
 //!     .collect();
-//! let report = runner.run(jobs, |_shard| Box::new(NoSpeculation))?;
-//! assert_eq!(report.job_count(), 100);
+//! let chunks = runner.round_robin(jobs).into_iter().map(Ok);
+//! let output = runner.run(chunks, RunOptions::default(), |_shard| Box::new(NoSpeculation))?;
+//! assert_eq!(output.report.job_count(), 100);
+//! assert!(output.cache_stats.is_none() && output.trace.is_none());
 //! # Ok(())
 //! # }
 //! ```
@@ -82,12 +86,12 @@ pub fn shard_seed(base: u64, shard: u64) -> u64 {
     splitmix64(base ^ splitmix64(shard))
 }
 
-/// Error of a fallible chunked replay ([`ShardedRunner::run_chunked_fallible`]):
-/// either the chunk *source* failed (a trace file stopped parsing, a
-/// generator hit an invalid configuration) or the *simulation* of a shard
-/// did. Source errors take precedence — once the source fails, any report
-/// assembled from the prefix is discarded, so a truncated trace can never
-/// masquerade as a completed replay.
+/// Error of a [`ShardedRunner::run`]: either the chunk *source* failed (a
+/// trace file stopped parsing, a generator hit an invalid configuration)
+/// or the *simulation* of a shard did. Source errors take precedence —
+/// once the source fails, any report assembled from the prefix is
+/// discarded, so a truncated trace can never masquerade as a completed
+/// replay.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplayError<E> {
     /// The chunk source yielded an error instead of a chunk.
@@ -120,12 +124,42 @@ impl<E: std::error::Error + 'static> std::error::Error for ReplayError<E> {
 /// possible, though most callers ignore it.
 pub type PolicyFactory<'a> = dyn Fn(u64) -> Box<dyn SpeculationPolicy> + Sync + 'a;
 
+/// What a [`ShardedRunner::run`] reports besides the merged report.
+/// `RunOptions::default()` records nothing extra.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunOptions<'a> {
+    /// The plan cache the shard policies share (the factory captures its
+    /// own handle). When set, the output carries the [`CacheStats`] delta
+    /// this run accumulated. Memoization only changes where the time goes,
+    /// never a decision, so the report is bit-identical either way.
+    pub cache: Option<&'a Arc<PlanCache>>,
+    /// `None` leaves decision tracing off (the engine's zero-cost
+    /// default); `Some(capacity)` records a [`DecisionTrace`] per shard,
+    /// bounded to `capacity` records (`None` = unbounded), merged in
+    /// shard-index order.
+    pub trace: Option<Option<usize>>,
+}
+
+/// Result of a [`ShardedRunner::run`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunOutput {
+    /// The per-shard reports merged in shard-index order.
+    pub report: SimulationReport,
+    /// The plan-cache stats delta of this run; `Some` exactly when
+    /// [`RunOptions::cache`] was set.
+    pub cache_stats: Option<CacheStats>,
+    /// The merged decision trace; `Some` exactly when
+    /// [`RunOptions::trace`] was set. With a cache it ends in one
+    /// aggregate [`TraceEvent::PlanCacheReport`].
+    pub trace: Option<DecisionTrace>,
+}
+
 /// Runs a workload of independent jobs as per-shard [`Simulation`]s across a
 /// fixed pool of worker threads, merging the per-shard reports into one
 /// aggregate [`SimulationReport`].
 ///
-/// See the [module docs](self) for the determinism contract. The shard and
-/// worker counts come from [`SimConfig::sharding`].
+/// See the [module docs](self) for the determinism contract. The worker
+/// count comes from [`SimConfig::sharding`].
 #[derive(Debug, Clone)]
 pub struct ShardedRunner {
     config: SimConfig,
@@ -150,216 +184,108 @@ impl ShardedRunner {
         &self.config
     }
 
-    /// Partitions `jobs` round-robin over the configured shard count and
-    /// runs them to completion.
-    ///
-    /// Round-robin (job `i` goes to shard `i % shards`) keeps arrival-time
-    /// ordering roughly balanced across shards for the common case of
-    /// arrival-sorted workloads. The partition depends only on the job
-    /// order and the shard count, never on the worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-shard error in shard-index order
-    /// (deterministic even when several shards fail), or a
-    /// [`SimError::MergeConflict`] when two shards report the same job id
-    /// (possible only if the input contained duplicates).
-    pub fn run<F>(&self, jobs: Vec<JobSpec>, build_policy: F) -> Result<SimulationReport, SimError>
-    where
-        F: Fn(u64) -> Box<dyn SpeculationPolicy> + Sync,
-    {
-        let shards = self.config.sharding.resolved_shards() as usize;
-        let mut partitions: Vec<Vec<JobSpec>> = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            partitions.push(Vec::new());
-        }
+    /// Partitions `jobs` round-robin into the configured shard count of
+    /// chunks (job `i` goes to chunk `i % shards`), ready for
+    /// [`ShardedRunner::run`]. Round-robin keeps arrival-time ordering
+    /// roughly balanced across shards for arrival-sorted workloads, and the
+    /// partition depends only on the job order and the shard count.
+    #[must_use]
+    pub fn round_robin(&self, jobs: Vec<JobSpec>) -> Vec<Vec<JobSpec>> {
+        let mut chunks = vec![Vec::new(); self.config.sharding.resolved_shards() as usize];
+        let shards = chunks.len();
         for (index, job) in jobs.into_iter().enumerate() {
-            partitions[index % shards].push(job);
+            chunks[index % shards].push(job);
         }
-        // The shard count is known here, so the worker count can honour
-        // ShardSpec's documented clamp (extra threads would only idle).
-        let workers = self.config.sharding.resolved_workers() as usize;
-        self.run_chunks_with(workers, partitions, &build_policy)
+        chunks
     }
 
     /// Runs a workload delivered as chunks, one shard per chunk.
     ///
-    /// This is the streaming entry point: the iterator is pulled lazily
-    /// (under a lock, so chunk `k` is always the iterator's `k`-th yield no
-    /// matter which worker pulls it), which lets generators like
-    /// `chronos-trace`'s chunked workload stream produce million-job traces
-    /// without ever materializing the whole spec list. The configured shard
-    /// count is ignored — the chunk structure *is* the shard structure —
-    /// and the worker count is therefore taken unclamped
-    /// ([`crate::config::ShardSpec::requested_workers`]): a 64-chunk stream
-    /// under a `ShardSpec::new(2, 8)` config still runs on 8 threads.
-    /// Workers beyond the actual chunk count simply find the queue empty
-    /// and exit.
+    /// The source is pulled lazily under a lock, so chunk `k` is always the
+    /// source's `k`-th yield no matter which worker pulls it; generators
+    /// like `chronos-trace`'s chunked streams therefore never materialize
+    /// the whole spec list. The chunk structure *is* the shard structure;
+    /// the configured shard count only matters to
+    /// [`ShardedRunner::round_robin`]. The worker count is
+    /// [`crate::config::ShardSpec::requested_workers`], clamped to the
+    /// source's `size_hint` upper bound when it reports one. Infallible
+    /// sources pass `.map(Ok::<_, Infallible>)`.
+    ///
+    /// When the source yields `Err`, the stream ends there: workers stop
+    /// pulling, shards already running finish, and the partial report of
+    /// the prefix is discarded. Likewise, once a shard fails no further
+    /// chunk is pulled.
     ///
     /// # Errors
     ///
-    /// Propagates the first per-shard error in shard-index order, or a
-    /// [`SimError::MergeConflict`] on duplicate job ids across chunks.
-    pub fn run_chunked<I, F>(
+    /// [`ReplayError::Source`] with the source's first error (it takes
+    /// precedence over any simulation error), else [`ReplayError::Sim`]
+    /// with the first per-shard error in shard-index order (deterministic
+    /// even when several shards fail), or a [`SimError::MergeConflict`]
+    /// when two shards report the same job id.
+    pub fn run<I, E, F>(
         &self,
         chunks: I,
+        options: RunOptions<'_>,
         build_policy: F,
-    ) -> Result<SimulationReport, SimError>
-    where
-        I: IntoIterator<Item = Vec<JobSpec>>,
-        I::IntoIter: Send,
-        F: Fn(u64) -> Box<dyn SpeculationPolicy> + Sync,
-    {
-        let workers = self.config.sharding.requested_workers() as usize;
-        self.run_chunks_with(workers, chunks, &build_policy)
-    }
-
-    /// The planner-backed variant of [`ShardedRunner::run_chunked`]: every
-    /// shard's policy is built around one shared `chronos-plan`
-    /// [`PlanCache`], so a job profile solved by any shard is a cache hit
-    /// in every other shard — across the whole replay, each distinct
-    /// profile pays the closed-form optimization exactly once.
-    ///
-    /// The factory receives the shard index and a handle to the shared
-    /// cache (clone it into the policy). Returns the merged report together
-    /// with the [`CacheStats`] delta accumulated by this run; the report
-    /// itself is **bit-identical** to the unplanned path — memoization only
-    /// changes where the time goes, never a decision.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedRunner::run_chunked`].
-    pub fn run_chunked_planned<I, F>(
-        &self,
-        cache: &Arc<PlanCache>,
-        chunks: I,
-        build_policy: F,
-    ) -> Result<(SimulationReport, CacheStats), SimError>
-    where
-        I: IntoIterator<Item = Vec<JobSpec>>,
-        I::IntoIter: Send,
-        F: Fn(u64, Arc<PlanCache>) -> Box<dyn SpeculationPolicy> + Sync,
-    {
-        let before = cache.stats();
-        let report = self.run_chunked(chunks, |shard| build_policy(shard, Arc::clone(cache)))?;
-        Ok((report, cache.stats().since(&before)))
-    }
-
-    /// The observed variant of [`ShardedRunner::run_chunked`]: every shard
-    /// records a [`DecisionTrace`] (bounded to `trace_capacity` records
-    /// per shard, `None` = unbounded), and the per-shard traces are merged
-    /// in **shard-index order** — exactly like the reports — so the
-    /// returned trace, its rendered decision log and its digest are
-    /// bit-identical no matter how many worker threads ran the shards.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedRunner::run_chunked`].
-    pub fn run_chunked_observed<I, F>(
-        &self,
-        chunks: I,
-        build_policy: F,
-        trace_capacity: Option<usize>,
-    ) -> Result<(SimulationReport, DecisionTrace), SimError>
-    where
-        I: IntoIterator<Item = Vec<JobSpec>>,
-        I::IntoIter: Send,
-        F: Fn(u64) -> Box<dyn SpeculationPolicy> + Sync,
-    {
-        let workers = self.config.sharding.requested_workers() as usize;
-        let (report, trace) =
-            self.run_chunks_observed_with(workers, chunks, &build_policy, Some(trace_capacity))?;
-        Ok((report, trace.unwrap_or_default()))
-    }
-
-    /// The observed variant of [`ShardedRunner::run_chunked_fallible`];
-    /// see [`ShardedRunner::run_chunked_observed`] for the trace contract.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedRunner::run_chunked_fallible`].
-    pub fn run_chunked_fallible_observed<I, E, F>(
-        &self,
-        chunks: I,
-        build_policy: F,
-        trace_capacity: Option<usize>,
-    ) -> Result<(SimulationReport, DecisionTrace), ReplayError<E>>
+    ) -> Result<RunOutput, ReplayError<E>>
     where
         I: IntoIterator<Item = Result<Vec<JobSpec>, E>>,
         I::IntoIter: Send,
         E: Send,
         F: Fn(u64) -> Box<dyn SpeculationPolicy> + Sync,
     {
+        let chunks = chunks.into_iter();
+        let mut workers = self.config.sharding.requested_workers() as usize;
+        if let Some(upper) = chunks.size_hint().1 {
+            workers = workers.min(upper).max(1);
+        }
+        let before = options.cache.map(|cache| (cache, cache.stats()));
         let source_error: Mutex<Option<E>> = Mutex::new(None);
         let adapter = FallibleChunks {
-            inner: chunks.into_iter(),
+            inner: chunks,
             slot: &source_error,
             done: false,
         };
-        let workers = self.config.sharding.requested_workers() as usize;
-        let outcome =
-            self.run_chunks_observed_with(workers, adapter, &build_policy, Some(trace_capacity));
+        let outcome = self.run_shards(workers, adapter, &build_policy, options.trace);
         if let Some(err) = source_error
             .into_inner()
             .expect("source error lock poisoned")
         {
             return Err(ReplayError::Source(err));
         }
-        outcome
-            .map(|(report, trace)| (report, trace.unwrap_or_default()))
-            .map_err(ReplayError::Sim)
+        let (report, mut trace) = outcome.map_err(ReplayError::Sim)?;
+        let cache_stats = before.map(|(cache, before)| cache.stats().since(&before));
+        // Per-access cache events would be scheduling-dependent (whichever
+        // shard reaches a profile first takes the miss); the single-flight
+        // cache's totals are not, so one aggregate report keeps the digest
+        // worker-count-invariant.
+        if let (Some(trace), Some(stats)) = (trace.as_mut(), cache_stats) {
+            trace.record(
+                report.ended_at.as_micros(),
+                TraceEvent::PlanCacheReport {
+                    hits: stats.hits,
+                    misses: stats.misses,
+                    evictions: stats.evictions,
+                    entries: stats.entries,
+                },
+            );
+        }
+        Ok(RunOutput {
+            report,
+            cache_stats,
+            trace,
+        })
     }
 
-    /// The observed variant of
-    /// [`ShardedRunner::run_chunked_fallible_planned`]: shared plan cache,
-    /// cache-stats delta *and* merged decision trace, with an aggregate
-    /// [`TraceEvent::PlanCacheReport`] appended. The cache totals are
-    /// worker-count-invariant for the single-flight cache (each distinct
-    /// profile misses exactly once), so the appended event — like the rest
-    /// of the trace — keeps the digest invariant.
+    /// [`ShardedRunner::run`] with a shared plan cache and no trace,
+    /// returning the report and the cache-stats delta. Kept with this exact
+    /// signature because the standalone `perfbench` benchmark calls it and
+    /// builds against this crate unchanged; new code calls `run`.
     ///
     /// # Errors
     ///
-    /// Same as [`ShardedRunner::run_chunked_fallible`].
-    pub fn run_chunked_fallible_planned_observed<I, E, F>(
-        &self,
-        cache: &Arc<PlanCache>,
-        chunks: I,
-        build_policy: F,
-        trace_capacity: Option<usize>,
-    ) -> Result<(SimulationReport, CacheStats, DecisionTrace), ReplayError<E>>
-    where
-        I: IntoIterator<Item = Result<Vec<JobSpec>, E>>,
-        I::IntoIter: Send,
-        E: Send,
-        F: Fn(u64, Arc<PlanCache>) -> Box<dyn SpeculationPolicy> + Sync,
-    {
-        let before = cache.stats();
-        let (report, mut trace) = self.run_chunked_fallible_observed(
-            chunks,
-            |shard| build_policy(shard, Arc::clone(cache)),
-            trace_capacity,
-        )?;
-        let stats = cache.stats().since(&before);
-        trace.record(
-            report.ended_at.as_micros(),
-            TraceEvent::PlanCacheReport {
-                hits: stats.hits,
-                misses: stats.misses,
-                evictions: stats.evictions,
-                entries: stats.entries,
-            },
-        );
-        Ok((report, stats, trace))
-    }
-
-    /// The planner-backed variant of
-    /// [`ShardedRunner::run_chunked_fallible`]; see
-    /// [`ShardedRunner::run_chunked_planned`] for the cache contract.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedRunner::run_chunked_fallible`].
+    /// Same as [`ShardedRunner::run`].
     pub fn run_chunked_fallible_planned<I, E, F>(
         &self,
         cache: &Arc<PlanCache>,
@@ -372,96 +298,33 @@ impl ShardedRunner {
         E: Send,
         F: Fn(u64, Arc<PlanCache>) -> Box<dyn SpeculationPolicy> + Sync,
     {
-        let before = cache.stats();
-        let report =
-            self.run_chunked_fallible(chunks, |shard| build_policy(shard, Arc::clone(cache)))?;
-        Ok((report, cache.stats().since(&before)))
-    }
-
-    /// Runs a workload delivered as *fallible* chunks — the trace-replay
-    /// entry point, fed by sources that can fail mid-stream, like
-    /// `chronos-trace`'s file-backed `TraceStream`.
-    ///
-    /// Chunk-to-shard mapping, worker semantics and determinism are those
-    /// of [`ShardedRunner::run_chunked`]. When the source yields `Err`, the
-    /// stream ends there: workers stop pulling, shards already running
-    /// finish, and the call returns [`ReplayError::Source`] — the partial
-    /// report of the parsed prefix is discarded, never returned. A source
-    /// that errors on its very first pull therefore costs no simulation
-    /// work beyond the chunks pulled before the failure.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplayError::Source`] with the source's first error (it takes
-    /// precedence over any simulation error), or [`ReplayError::Sim`]
-    /// carrying the same failures [`ShardedRunner::run_chunked`] produces.
-    pub fn run_chunked_fallible<I, E, F>(
-        &self,
-        chunks: I,
-        build_policy: F,
-    ) -> Result<SimulationReport, ReplayError<E>>
-    where
-        I: IntoIterator<Item = Result<Vec<JobSpec>, E>>,
-        I::IntoIter: Send,
-        E: Send,
-        F: Fn(u64) -> Box<dyn SpeculationPolicy> + Sync,
-    {
-        let source_error: Mutex<Option<E>> = Mutex::new(None);
-        let adapter = FallibleChunks {
-            inner: chunks.into_iter(),
-            slot: &source_error,
-            done: false,
+        let options = RunOptions {
+            cache: Some(cache),
+            trace: None,
         };
-        let workers = self.config.sharding.requested_workers() as usize;
-        let outcome = self.run_chunks_with(workers, adapter, &build_policy);
-        if let Some(err) = source_error
-            .into_inner()
-            .expect("source error lock poisoned")
-        {
-            return Err(ReplayError::Source(err));
-        }
-        outcome.map_err(ReplayError::Sim)
+        let output = self.run(chunks, options, |shard| {
+            build_policy(shard, Arc::clone(cache))
+        })?;
+        Ok((output.report, output.cache_stats.unwrap_or_default()))
     }
 
-    /// Shared worker-pool core of [`ShardedRunner::run`] (which clamps
-    /// `workers` to its known shard count) and
-    /// [`ShardedRunner::run_chunked`] (which cannot, the chunk count being
-    /// unknown for a lazy iterator).
-    fn run_chunks_with<I, F>(
-        &self,
-        workers: usize,
-        chunks: I,
-        build_policy: &F,
-    ) -> Result<SimulationReport, SimError>
-    where
-        I: IntoIterator<Item = Vec<JobSpec>>,
-        I::IntoIter: Send,
-        F: Fn(u64) -> Box<dyn SpeculationPolicy> + Sync,
-    {
-        self.run_chunks_observed_with(workers, chunks, build_policy, None)
-            .map(|(report, _)| report)
-    }
-
-    /// [`ShardedRunner::run_chunks_with`] plus optional per-shard decision
-    /// tracing. `trace` is `None` to leave recording off (the engine's
-    /// zero-cost default) or `Some(capacity)` to record with the given
+    /// The worker-pool core of [`ShardedRunner::run`]. `trace` is `None` to
+    /// leave recording off or `Some(capacity)` to record with the given
     /// per-shard ring bound. Traces are folded in the same sorted
     /// shard-index order as the reports, so the merged trace inherits the
     /// reports' worker-count invariance.
-    fn run_chunks_observed_with<I, F>(
+    fn run_shards<I>(
         &self,
         workers: usize,
         chunks: I,
-        build_policy: &F,
+        build_policy: &PolicyFactory<'_>,
         trace: Option<Option<usize>>,
     ) -> Result<(SimulationReport, Option<DecisionTrace>), SimError>
     where
-        I: IntoIterator<Item = Vec<JobSpec>>,
-        I::IntoIter: Send,
-        F: Fn(u64) -> Box<dyn SpeculationPolicy> + Sync,
+        I: Iterator<Item = Vec<JobSpec>> + Send,
     {
         type ShardOutcome = Result<(SimulationReport, Option<DecisionTrace>), SimError>;
-        let queue = Mutex::new(chunks.into_iter().enumerate());
+        let queue = Mutex::new(chunks.enumerate());
         let results: Mutex<Vec<(usize, ShardOutcome)>> = Mutex::new(Vec::new());
         // Once any shard fails, stop pulling new chunks: a million-job run
         // should not simulate 63 healthy shards to report shard 0's invalid
@@ -544,7 +407,7 @@ impl ShardedRunner {
 /// Adapter that feeds a fallible chunk source into the infallible
 /// worker-pool core: the first `Err` ends the stream (workers see a plain
 /// end-of-queue, stop pulling, and drain) and is parked in `slot` for
-/// [`ShardedRunner::run_chunked_fallible`] to surface once the pool joins.
+/// [`ShardedRunner::run`] to surface once the pool joins.
 struct FallibleChunks<'a, I, E> {
     inner: I,
     slot: &'a Mutex<Option<E>>,
@@ -588,7 +451,8 @@ mod tests {
     use crate::policy::NoSpeculation;
     use crate::time::SimTime;
     use chronos_core::Pareto;
-    use chronos_obs::TraceRecord;
+    use std::collections::BTreeMap;
+    use std::convert::Infallible;
     use std::sync::atomic::AtomicUsize;
 
     fn config(seed: u64, shards: u32, workers: u32) -> SimConfig {
@@ -612,6 +476,25 @@ mod tests {
             .collect()
     }
 
+    /// `jobs` dealt round-robin over the runner's shards, as a source.
+    fn dealt(
+        runner: &ShardedRunner,
+        jobs: Vec<JobSpec>,
+    ) -> impl Iterator<Item = Result<Vec<JobSpec>, Infallible>> + Send {
+        runner.round_robin(jobs).into_iter().map(Ok)
+    }
+
+    /// Runs `jobs` dealt round-robin, untraced and unplanned, under
+    /// [`NoSpeculation`].
+    fn run_plain(runner: &ShardedRunner, jobs: Vec<JobSpec>) -> Result<SimulationReport, SimError> {
+        let chunks = dealt(runner, jobs);
+        match runner.run(chunks, RunOptions::default(), |_| Box::new(NoSpeculation)) {
+            Ok(output) => Ok(output.report),
+            Err(ReplayError::Sim(err)) => Err(err),
+            Err(ReplayError::Source(never)) => match never {},
+        }
+    }
+
     #[test]
     fn splitmix64_matches_reference_vectors() {
         // Reference outputs of the SplitMix64 generator seeded with 0 and
@@ -632,9 +515,34 @@ mod tests {
     }
 
     #[test]
+    fn chunked_and_round_robin_differ_only_in_partitioning() {
+        // `round_robin` only partitions: job `i` goes to chunk `i % shards`,
+        // and every shard exists even when it gets no job.
+        let runner = ShardedRunner::new(config(9, 3, 2)).unwrap();
+        let chunks = runner.round_robin(jobs(7));
+        let ids = chunks
+            .iter()
+            .map(|chunk| chunk.iter().map(|job| job.id.raw()));
+        let ids: Vec<Vec<u64>> = ids.map(Iterator::collect).collect();
+        assert_eq!(ids, [vec![0, 3, 6], vec![1, 4], vec![2, 5]]);
+        assert_eq!(runner.round_robin(Vec::new()).len(), 3);
+    }
+
+    #[test]
+    fn worker_count_does_not_change_the_report() {
+        let run = |workers| {
+            run_plain(
+                &ShardedRunner::new(config(11, 6, workers)).unwrap(),
+                jobs(24),
+            )
+        };
+        assert_eq!(run(1).unwrap(), run(6).unwrap());
+    }
+
+    #[test]
     fn runner_covers_all_jobs_exactly_once() {
         let runner = ShardedRunner::new(config(7, 4, 2)).unwrap();
-        let report = runner.run(jobs(30), |_| Box::new(NoSpeculation)).unwrap();
+        let report = run_plain(&runner, jobs(30)).unwrap();
         assert_eq!(report.job_count(), 30);
         assert_eq!(report.latency.total(), 30);
         let ids: Vec<u64> = report.jobs.keys().map(|id| id.raw()).collect();
@@ -643,34 +551,21 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_does_not_change_the_report() {
-        let run = |workers| {
-            ShardedRunner::new(config(11, 6, workers))
-                .unwrap()
-                .run(jobs(24), |_| Box::new(NoSpeculation))
-                .unwrap()
-        };
-        let serial = run(1);
-        let parallel = run(6);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn shard_count_is_part_of_the_experiment() {
         let run = |shards| {
-            ShardedRunner::new(config(11, shards, 2))
-                .unwrap()
-                .run(jobs(24), |_| Box::new(NoSpeculation))
-                .unwrap()
+            run_plain(
+                &ShardedRunner::new(config(11, shards, 2)).unwrap(),
+                jobs(24),
+            )
         };
         // Different shard counts = different RNG streams = different draws.
-        assert_ne!(run(2), run(3));
+        assert_ne!(run(2).unwrap(), run(3).unwrap());
     }
 
     #[test]
     fn single_shard_matches_plain_simulation_with_derived_seed() {
         let runner = ShardedRunner::new(config(5, 1, 1)).unwrap();
-        let sharded = runner.run(jobs(10), |_| Box::new(NoSpeculation)).unwrap();
+        let sharded = run_plain(&runner, jobs(10)).unwrap();
 
         let mut plain_config = config(5, 1, 1);
         plain_config.seed = shard_seed(5, 0);
@@ -681,23 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_and_round_robin_differ_only_in_partitioning() {
-        // Same jobs fed as explicit chunks matching the round-robin layout
-        // must give the same report as `run`.
-        let runner = ShardedRunner::new(config(9, 3, 2)).unwrap();
-        let via_run = runner.run(jobs(12), |_| Box::new(NoSpeculation)).unwrap();
-
-        let mut chunks = vec![Vec::new(), Vec::new(), Vec::new()];
-        for (index, job) in jobs(12).into_iter().enumerate() {
-            chunks[index % 3].push(job);
-        }
-        let via_chunks = runner
-            .run_chunked(chunks, |_| Box::new(NoSpeculation))
-            .unwrap();
-        assert_eq!(via_run, via_chunks);
-    }
-
-    #[test]
     fn shard_errors_are_deterministic_and_contextualized() {
         // Job indices 0 and 1 round-robin onto shards 0 and 1; giving them
         // the same id puts the duplicate in *different* shards, so each
@@ -705,19 +583,14 @@ mod tests {
         let runner = ShardedRunner::new(config(3, 2, 2)).unwrap();
         let mut workload = jobs(4);
         workload[1].id = JobId::new(0);
-        let err = runner
-            .run(workload, |_| Box::new(NoSpeculation))
-            .unwrap_err();
+        let err = run_plain(&runner, workload).unwrap_err();
         assert!(matches!(err, SimError::MergeConflict { .. }), "{err}");
         assert!(err.to_string().contains("merging shard"), "{err}");
 
         // An in-shard failure carries the shard index instead.
-        let runner = ShardedRunner::new(config(3, 2, 2)).unwrap();
         let mut workload = jobs(4);
         workload[3].tasks.clear(); // invalid: lands in shard 1
-        let err = runner
-            .run(workload, |_| Box::new(NoSpeculation))
-            .unwrap_err();
+        let err = run_plain(&runner, workload).unwrap_err();
         assert!(err.to_string().contains("shard 1"), "{err}");
     }
 
@@ -728,10 +601,7 @@ mod tests {
         let mut cfg = config(3, 2, 1);
         cfg.max_events = 1;
         let runner = ShardedRunner::new(cfg).unwrap();
-        let err = runner
-            .run(jobs(4), |_| Box::new(NoSpeculation))
-            .unwrap_err();
-        let message = err.to_string();
+        let message = run_plain(&runner, jobs(4)).unwrap_err().to_string();
         assert!(message.contains("shard 0"), "{message}");
         assert!(message.contains("event budget"), "{message}");
     }
@@ -749,32 +619,14 @@ mod tests {
             if index == 0 {
                 job.tasks.clear(); // invalid: no tasks
             }
-            vec![job]
+            Ok::<_, Infallible>(vec![job])
         });
         let runner = ShardedRunner::new(config(1, 4, 1)).unwrap();
         let err = runner
-            .run_chunked(chunks, |_| Box::new(NoSpeculation))
+            .run(chunks, RunOptions::default(), |_| Box::new(NoSpeculation))
             .unwrap_err();
         assert!(err.to_string().contains("shard 0"), "{err}");
         assert_eq!(generated.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn fallible_chunks_match_infallible_when_clean() {
-        let runner = ShardedRunner::new(config(9, 3, 2)).unwrap();
-        let mut chunks = vec![Vec::new(), Vec::new(), Vec::new()];
-        for (index, job) in jobs(12).into_iter().enumerate() {
-            chunks[index % 3].push(job);
-        }
-        let infallible = runner
-            .run_chunked(chunks.clone(), |_| Box::new(NoSpeculation))
-            .unwrap();
-        let fallible = runner
-            .run_chunked_fallible(chunks.into_iter().map(Ok::<_, SimError>), |_| {
-                Box::new(NoSpeculation)
-            })
-            .unwrap();
-        assert_eq!(infallible, fallible);
     }
 
     #[test]
@@ -798,7 +650,7 @@ mod tests {
         });
         let runner = ShardedRunner::new(config(1, 4, 1)).unwrap();
         let err = runner
-            .run_chunked_fallible(chunks, |_| Box::new(NoSpeculation))
+            .run(chunks, RunOptions::default(), |_| Box::new(NoSpeculation))
             .unwrap_err();
         assert_eq!(
             err,
@@ -814,7 +666,9 @@ mod tests {
         bad[0].tasks.clear();
         let runner = ShardedRunner::new(config(1, 4, 1)).unwrap();
         let err = runner
-            .run_chunked_fallible([Ok::<_, String>(bad)], |_| Box::new(NoSpeculation))
+            .run([Ok::<_, String>(bad)], RunOptions::default(), |_| {
+                Box::new(NoSpeculation)
+            })
             .unwrap_err();
         assert!(
             matches!(err, ReplayError::Sim(SimError::InvalidConfig { .. })),
@@ -897,31 +751,61 @@ mod tests {
         }
     }
 
-    fn chunks_of(jobs: Vec<JobSpec>, shards: usize) -> Vec<Vec<JobSpec>> {
-        let mut chunks = vec![Vec::new(); shards];
-        for (index, job) in jobs.into_iter().enumerate() {
-            chunks[index % shards].push(job);
+    #[test]
+    fn run_options_only_change_what_is_recorded() {
+        let mut reference: Option<SimulationReport> = None;
+        let mut digests = BTreeMap::new();
+        for workers in [1u32, 8] {
+            let runner = ShardedRunner::new(config(13, 3, workers)).unwrap();
+            for (planned, traced) in [(false, false), (true, false), (false, true), (true, true)] {
+                let label = format!("workers={workers} cache={planned} trace={traced}");
+                let cache = PlanCache::shared();
+                let options = RunOptions {
+                    cache: planned.then_some(&cache),
+                    trace: traced.then_some(None),
+                };
+                let output = runner
+                    .run(dealt(&runner, jobs(30)), options, |_| {
+                        // Unplanned, each shard plans into a private cache.
+                        let shared = planned.then(|| Arc::clone(&cache));
+                        Box::new(PlanningProbe::new(shared.unwrap_or_else(PlanCache::shared)))
+                    })
+                    .unwrap();
+                let reference = reference.get_or_insert_with(|| output.report.clone());
+                assert_eq!(&output.report, reference, "{label}");
+                assert_eq!(output.cache_stats.is_some(), planned, "{label}");
+                assert_eq!(output.trace.is_some(), traced, "{label}");
+                if let Some(trace) = &output.trace {
+                    let cache_reports = trace.records().filter(|record| {
+                        matches!(record.event, TraceEvent::PlanCacheReport { .. })
+                    });
+                    assert_eq!(cache_reports.count(), usize::from(planned), "{label}");
+                    let first = digests.entry((planned, traced)).or_insert(trace.digest());
+                    assert_eq!(*first, trace.digest(), "{label}");
+                }
+            }
         }
-        chunks
     }
 
     #[test]
     fn planned_replay_is_bit_identical_and_shares_plans_across_shards() {
-        let runner = ShardedRunner::new(config(13, 3, 2)).unwrap();
         // Unplanned reference: each shard plans into its own private cache.
+        let runner = ShardedRunner::new(config(13, 3, 2)).unwrap();
         let reference = runner
-            .run_chunked(chunks_of(jobs(30), 3), |_| {
-                Box::new(PlanningProbe::new(chronos_plan::PlanCache::shared()))
+            .run(dealt(&runner, jobs(30)), RunOptions::default(), |_| {
+                Box::new(PlanningProbe::new(PlanCache::shared()))
             })
-            .unwrap();
+            .unwrap()
+            .report;
 
         for workers in [1u32, 8] {
             let runner = ShardedRunner::new(config(13, 3, workers)).unwrap();
-            let cache = chronos_plan::PlanCache::shared();
             let (report, stats) = runner
-                .run_chunked_planned(&cache, chunks_of(jobs(30), 3), |_, cache| {
-                    Box::new(PlanningProbe::new(cache))
-                })
+                .run_chunked_fallible_planned(
+                    &PlanCache::shared(),
+                    dealt(&runner, jobs(30)),
+                    |_, cache| Box::new(PlanningProbe::new(cache)),
+                )
                 .unwrap();
             assert_eq!(report, reference, "workers = {workers}");
             // All 30 jobs share one profile: one solve for the whole
@@ -933,43 +817,61 @@ mod tests {
     }
 
     #[test]
+    fn planned_observed_replay_appends_one_aggregate_cache_report() {
+        let runner = ShardedRunner::new(config(13, 3, 2)).unwrap();
+        let cache = PlanCache::shared();
+        let options = RunOptions {
+            cache: Some(&cache),
+            trace: Some(None),
+        };
+        let output = runner
+            .run(dealt(&runner, jobs(30)), options, |_| {
+                Box::new(PlanningProbe::new(Arc::clone(&cache)))
+            })
+            .unwrap();
+        assert_eq!(output.report.job_count(), 30);
+        let stats = output.cache_stats.unwrap();
+        // Per-access cache events would be scheduling-dependent (whichever
+        // shard reaches a profile first takes the miss); the trace instead
+        // carries exactly one aggregate report with the run's stats delta,
+        // closing the trace at the run's end.
+        let trace = output.trace.unwrap();
+        let cache_reports = trace
+            .records()
+            .filter(|record| matches!(record.event, TraceEvent::PlanCacheReport { .. }));
+        assert_eq!(cache_reports.count(), 1);
+        let last = trace.records().last().unwrap();
+        assert_eq!(last.at_micros, output.report.ended_at.as_micros());
+        match last.event {
+            TraceEvent::PlanCacheReport { hits, misses, .. } => {
+                assert_eq!(hits, stats.hits);
+                assert_eq!(misses, stats.misses);
+            }
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
     fn planned_fallible_replay_matches_and_reuses_a_warm_cache() {
         let runner = ShardedRunner::new(config(13, 3, 2)).unwrap();
-        let cache = chronos_plan::PlanCache::shared();
-        let build = |_shard: u64, cache: std::sync::Arc<chronos_plan::PlanCache>| {
-            Box::new(PlanningProbe::new(cache)) as Box<dyn SpeculationPolicy>
+        let cache = PlanCache::shared();
+        let options = RunOptions {
+            cache: Some(&cache),
+            trace: None,
         };
-        let (first, first_stats) = runner
-            .run_chunked_fallible_planned(
-                &cache,
-                chunks_of(jobs(30), 3).into_iter().map(Ok::<_, SimError>),
-                build,
-            )
-            .unwrap();
-        assert_eq!(first_stats.misses, 1);
-
-        // A second replay over the same cache is all hits, and the stats
+        let replay = || {
+            runner
+                .run(dealt(&runner, jobs(30)), options, |_| {
+                    Box::new(PlanningProbe::new(Arc::clone(&cache)))
+                })
+                .unwrap()
+        };
+        let (first, second) = (replay(), replay());
+        assert_eq!(first.report, second.report);
+        // The second replay over the same cache is all hits, and the stats
         // delta (not the lifetime totals) says so.
-        let (second, second_stats) = runner
-            .run_chunked_fallible_planned(
-                &cache,
-                chunks_of(jobs(30), 3).into_iter().map(Ok::<_, SimError>),
-                build,
-            )
-            .unwrap();
-        assert_eq!(first, second);
-        assert_eq!(second_stats.misses, 0);
-        assert_eq!(second_stats.hits, 60);
-
-        // Source errors still take precedence on the planned path.
-        let err = runner
-            .run_chunked_fallible_planned(
-                &cache,
-                [Err::<Vec<JobSpec>, String>("broken source".into())],
-                |_, cache| Box::new(PlanningProbe::new(cache)),
-            )
-            .unwrap_err();
-        assert_eq!(err, ReplayError::Source("broken source".to_string()));
+        let (first, second) = (first.cache_stats.unwrap(), second.cache_stats.unwrap());
+        assert_eq!((first.misses, second.misses, second.hits), (1, 0, 60));
     }
 
     #[test]
@@ -984,77 +886,48 @@ mod tests {
                 })
                 .collect::<Vec<JobSpec>>()
         };
-        let reference = ShardedRunner::new(config(11, 4, 2))
-            .unwrap()
-            .run_chunked(chunks_of(workload(), 4), |_| Box::new(NoSpeculation))
-            .unwrap();
-        let missed = reference
-            .jobs
-            .values()
-            .filter(|job| !job.met_deadline)
-            .count();
+        let reference = run_plain(&ShardedRunner::new(config(11, 4, 2)).unwrap(), workload());
+        let reference = reference.unwrap();
+        let missed = reference.jobs.values().filter(|job| !job.met_deadline);
+        let missed = missed.count();
         assert!(missed > 0, "workload must exercise DeadlineMissed events");
 
         let mut digests = Vec::new();
         for workers in [1u32, 8] {
             let runner = ShardedRunner::new(config(11, 4, workers)).unwrap();
-            let (report, trace) = runner
-                .run_chunked_observed(chunks_of(workload(), 4), |_| Box::new(NoSpeculation), None)
+            let options = RunOptions {
+                cache: None,
+                trace: Some(None),
+            };
+            let output = runner
+                .run(dealt(&runner, workload()), options, |_| {
+                    Box::new(NoSpeculation)
+                })
                 .unwrap();
             // Recording is observation only: the report stays bit-identical
             // to the unobserved replay.
-            assert_eq!(report, reference, "workers = {workers}");
+            assert_eq!(output.report, reference, "workers = {workers}");
             // One `simulate` phase span per shard, merged in shard order,
             // and one DeadlineMissed per missed job.
-            let phases = trace
-                .records()
-                .filter(|record| matches!(record.event, TraceEvent::Phase { .. }))
-                .count();
-            assert_eq!(phases, 4, "workers = {workers}");
-            let deadline_events = trace
-                .records()
-                .filter(|record| matches!(record.event, TraceEvent::DeadlineMissed { .. }))
-                .count();
-            assert_eq!(deadline_events, missed, "workers = {workers}");
+            let trace = output.trace.unwrap();
+            let (mut phases, mut deadlines) = (0, 0);
+            for record in trace.records() {
+                match record.event {
+                    TraceEvent::Phase { .. } => phases += 1,
+                    TraceEvent::DeadlineMissed { .. } => deadlines += 1,
+                    _ => {}
+                }
+            }
+            assert_eq!((phases, deadlines), (4, missed), "workers = {workers}");
             digests.push(trace.digest());
         }
         assert_eq!(digests[0], digests[1]);
     }
 
     #[test]
-    fn planned_observed_replay_appends_one_aggregate_cache_report() {
-        let runner = ShardedRunner::new(config(13, 3, 2)).unwrap();
-        let cache = chronos_plan::PlanCache::shared();
-        let (report, stats, trace) = runner
-            .run_chunked_fallible_planned_observed(
-                &cache,
-                chunks_of(jobs(30), 3).into_iter().map(Ok::<_, SimError>),
-                |_, cache| Box::new(PlanningProbe::new(cache)) as Box<dyn SpeculationPolicy>,
-                None,
-            )
-            .unwrap();
-        assert_eq!(report.job_count(), 30);
-        // Per-access cache events would be scheduling-dependent (whichever
-        // shard reaches a profile first takes the miss); the trace instead
-        // carries exactly one aggregate report with the run's stats delta.
-        let cache_reports: Vec<&TraceRecord> = trace
-            .records()
-            .filter(|record| matches!(record.event, TraceEvent::PlanCacheReport { .. }))
-            .collect();
-        assert_eq!(cache_reports.len(), 1);
-        match cache_reports[0].event {
-            TraceEvent::PlanCacheReport { hits, misses, .. } => {
-                assert_eq!(hits, stats.hits);
-                assert_eq!(misses, stats.misses);
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
     fn empty_workload_yields_identity_report() {
         let runner = ShardedRunner::new(config(1, 4, 4)).unwrap();
-        let report = runner.run(Vec::new(), |_| Box::new(NoSpeculation)).unwrap();
+        let report = run_plain(&runner, Vec::new()).unwrap();
         assert_eq!(report.job_count(), 0);
         assert_eq!(report.policy, "hadoop-ns");
         assert_eq!(report.events_dispatched, 0);

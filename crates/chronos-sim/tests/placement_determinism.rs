@@ -40,8 +40,20 @@ fn workload(job_count: u64) -> Vec<JobSpec> {
         .collect()
 }
 
-fn chunks(jobs: &[JobSpec]) -> Vec<Vec<JobSpec>> {
-    jobs.chunks(8).map(<[JobSpec]>::to_vec).collect()
+/// Runs `jobs` in chunks of 8 with an unbounded decision trace.
+fn traced_run(config: SimConfig, jobs: &[JobSpec]) -> (SimulationReport, DecisionTrace) {
+    let chunks = jobs
+        .chunks(8)
+        .map(|chunk| Ok::<_, std::convert::Infallible>(chunk.to_vec()));
+    let options = RunOptions {
+        cache: None,
+        trace: Some(None),
+    };
+    let output = ShardedRunner::new(config)
+        .expect("valid config")
+        .run(chunks, options, |_| Box::new(NoSpeculation))
+        .expect("simulation succeeds");
+    (output.report, output.trace.expect("trace requested"))
 }
 
 fn observed_run(
@@ -50,10 +62,7 @@ fn observed_run(
     workers: u32,
     jobs: &[JobSpec],
 ) -> (SimulationReport, DecisionTrace) {
-    ShardedRunner::new(placement_config(seed, placement, workers))
-        .expect("valid config")
-        .run_chunked_observed(chunks(jobs), |_| Box::new(NoSpeculation), None)
-        .expect("simulation succeeds")
+    traced_run(placement_config(seed, placement, workers), jobs)
 }
 
 proptest! {
@@ -95,10 +104,7 @@ fn most_free_matches_a_placement_free_config_and_records_nothing() {
         max_events: 0,
         sharding: ShardSpec::new(4, 4),
     };
-    let (default_report, default_trace) = ShardedRunner::new(config)
-        .expect("valid config")
-        .run_chunked_observed(chunks(&jobs), |_| Box::new(NoSpeculation), None)
-        .expect("simulation succeeds");
+    let (default_report, default_trace) = traced_run(config, &jobs);
 
     assert_eq!(explicit_report, default_report);
     assert_eq!(explicit_trace.digest(), default_trace.digest());

@@ -31,6 +31,20 @@ fn workload(job_count: u64, tasks_per_job: usize, arrival_gap: f64) -> Vec<JobSp
         .collect()
 }
 
+/// Round-robins `jobs` over the configured shards and runs them under
+/// [`NoSpeculation`].
+fn run_sharded(config: SimConfig, jobs: Vec<JobSpec>) -> SimulationReport {
+    let runner = ShardedRunner::new(config).expect("valid config");
+    let chunks = runner
+        .round_robin(jobs)
+        .into_iter()
+        .map(Ok::<_, std::convert::Infallible>);
+    runner
+        .run(chunks, RunOptions::default(), |_| Box::new(NoSpeculation))
+        .expect("simulation succeeds")
+        .report
+}
+
 fn sim_config(seed: u64, shards: u32, workers: u32) -> SimConfig {
     SimConfig {
         cluster: ClusterSpec::homogeneous(6, 2),
@@ -100,10 +114,7 @@ proptest! {
         tasks in 1usize..4,
     ) {
         let run = |workers: u32| {
-            ShardedRunner::new(sim_config(seed, shards, workers))
-                .expect("valid config")
-                .run(workload(job_count, tasks, 3.0), |_| Box::new(NoSpeculation))
-                .expect("simulation succeeds")
+            run_sharded(sim_config(seed, shards, workers), workload(job_count, tasks, 3.0))
         };
         let one = run(1);
         let two = run(2);
@@ -176,12 +187,7 @@ proptest! {
 fn fixed_seed_worker_sweep_is_bit_identical() {
     let reports: Vec<SimulationReport> = [1u32, 2, 8]
         .iter()
-        .map(|&workers| {
-            ShardedRunner::new(sim_config(20_260_729, 8, workers))
-                .expect("valid config")
-                .run(workload(64, 3, 2.0), |_| Box::new(NoSpeculation))
-                .expect("simulation succeeds")
-        })
+        .map(|&workers| run_sharded(sim_config(20_260_729, 8, workers), workload(64, 3, 2.0)))
         .collect();
     assert_eq!(reports[0], reports[1]);
     assert_eq!(reports[0], reports[2]);

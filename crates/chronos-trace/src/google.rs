@@ -186,7 +186,7 @@ impl GoogleTraceConfig {
     /// memory changes: the stream holds the arrival instants (8 bytes per
     /// job) and the spot-price path, never the job specs themselves. Chunks
     /// double as shard inputs for
-    /// `chronos_sim::shard::ShardedRunner::run_chunked`, which is how
+    /// `chronos_sim::shard::ShardedRunner::run`, which is how
     /// million-job Google-style replays reach the simulator without the
     /// trace ever existing as one giant `Vec` — the same shape the
     /// file-backed `crate::loader::TraceStream` produces.

@@ -6,7 +6,7 @@
 //! file is loaded into validated [`JobSpec`]s either all at once
 //! ([`TraceLoader::load`]) or as bounded-memory chunks
 //! ([`TraceLoader::stream`]) that feed
-//! `chronos_sim::shard::ShardedRunner::run_chunked_fallible` directly, so a
+//! `chronos_sim::shard::ShardedRunner::run` directly, so a
 //! file of millions of jobs is replayed without ever materializing the full
 //! spec list.
 //!
@@ -543,7 +543,7 @@ impl<R: BufRead> TraceLoader<R> {
     ///
     /// The returned iterator yields `Result` items and **fuses after the
     /// first error** — feed it to
-    /// `ShardedRunner::run_chunked_fallible`, which stops pulling and
+    /// `ShardedRunner::run`, which stops pulling and
     /// surfaces the parse error deterministically.
     ///
     /// # Errors

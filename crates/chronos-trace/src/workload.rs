@@ -213,7 +213,7 @@ impl TestbedWorkload {
     /// chunk, so the concatenation of all chunks is **exactly** the
     /// [`TestbedWorkload::generate_from`] output for any chunk size — only
     /// peak memory changes. Chunks double as shard inputs for
-    /// `chronos_sim::shard::ShardedRunner::run_chunked`, which is how
+    /// `chronos_sim::shard::ShardedRunner::run`, which is how
     /// million-job traces reach the simulator without ever existing as one
     /// giant `Vec`.
     ///

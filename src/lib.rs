@@ -70,8 +70,8 @@ pub mod prelude {
     };
     pub use chronos_sim::prelude::{
         shard_seed, ClusterSpec, EstimatorKind, JobId, JobSpec, JvmModel, LatencyHistogram,
-        ReplayError, ShardSpec, ShardedRunner, SimConfig, SimError, SimTime, Simulation,
-        SimulationReport, SpeculationPolicy, TaskSpec,
+        ReplayError, RunOptions, RunOutput, ShardSpec, ShardedRunner, SimConfig, SimError, SimTime,
+        Simulation, SimulationReport, SpeculationPolicy, TaskSpec,
     };
     pub use chronos_strategies::prelude::{
         BudgetedPolicy, ChronosPolicyConfig, ClonePolicy, HadoopNoSpec, HadoopSpeculate,

@@ -47,8 +47,13 @@ fn million_jobs_on_eight_workers_bit_identical_to_single_worker() {
     let run = |workers: u32| {
         ShardedRunner::new(config(workers))
             .expect("valid config")
-            .run_chunked(million_job_stream(), |_| Box::new(HadoopNoSpec::default()))
+            .run(
+                million_job_stream().map(Ok::<_, std::convert::Infallible>),
+                RunOptions::default(),
+                |_| Box::new(HadoopNoSpec::default()),
+            )
             .expect("simulation completes")
+            .report
     };
 
     let single = run(1);

@@ -1,12 +1,12 @@
 //! Scale test for the trace-ingestion path: a **100,000-job** synthetic
 //! Google-style trace is written to disk by `TraceWriter` (streamed, never
 //! materialized), loaded back by the `chronos-trace` loader, and replayed
-//! through `ShardedRunner::run_chunked_fallible` at 1 and 8 workers — both
+//! through `ShardedRunner::run` at 1 and 8 workers — both
 //! file replays and the in-memory replay of the same generator stream must
 //! merge to **bit-identical** reports.
 //!
 //! This is the ISSUE 3 acceptance gate in test form (CI's
-//! `trace-replay-smoke` job runs the same pipeline at a smaller scale via
+//! `trace-replay-smoke` check runs the same pipeline at a smaller scale via
 //! `trace_tool`): it proves the on-disk round trip preserves every job spec
 //! exactly *and* that the file-backed chunk stream reproduces the in-memory
 //! chunk structure, so "bring your own trace file" replays inherit the
@@ -53,8 +53,11 @@ fn replay_from_file(path: &std::path::Path, workers: u32) -> SimulationReport {
         .expect("non-zero chunk size");
     ShardedRunner::new(sim_config(workers))
         .expect("valid config")
-        .run_chunked_fallible(stream, |_| Box::new(HadoopNoSpec::default()))
+        .run(stream, RunOptions::default(), |_| {
+            Box::new(HadoopNoSpec::default())
+        })
         .expect("file replay completes")
+        .report
 }
 
 #[test]
@@ -73,13 +76,16 @@ fn hundred_thousand_job_trace_replays_bit_identically_from_disk() {
 
     // In-memory reference replay: the generator stream fed straight to the
     // sharded runner with the same chunk structure.
+    let stream = trace_config().stream(chunk_size()).expect("valid config");
     let in_memory = ShardedRunner::new(sim_config(8))
         .expect("valid config")
-        .run_chunked(
-            trace_config().stream(chunk_size()).expect("valid config"),
+        .run(
+            stream.map(Ok::<_, std::convert::Infallible>),
+            RunOptions::default(),
             |_| Box::new(HadoopNoSpec::default()),
         )
-        .expect("in-memory replay completes");
+        .expect("in-memory replay completes")
+        .report;
 
     let from_file_1 = replay_from_file(&path, 1);
     let from_file_8 = replay_from_file(&path, 8);

@@ -1,6 +1,6 @@
 //! Criterion benches for the closed forms of Theorems 1–6: PoCD is pure
-//! arithmetic, while the Speculative-Restart cost requires numerical
-//! quadrature — this bench quantifies that gap.
+//! arithmetic, and the Speculative-Restart cost sums a short hypergeometric
+//! series on top of it.
 
 use chronos_core::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

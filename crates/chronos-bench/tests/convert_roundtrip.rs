@@ -16,6 +16,7 @@
 //! `trace_tool convert <fixture> <golden> --format google-2011` after any
 //! intentional converter change, and eyeball the diff.
 
+use chronos_core::prelude::{JobProfile, Optimizer, StrategyParams};
 use chronos_sim::prelude::*;
 use chronos_strategies::prelude::*;
 use chronos_trace::prelude::*;
@@ -132,6 +133,45 @@ fn converted_trace_replays_bit_identically_at_1_and_8_workers() {
     let json_1 = serde_json::to_string_pretty(&reports[0]).unwrap();
     let json_8 = serde_json::to_string_pretty(&reports[1]).unwrap();
     assert_eq!(json_1, json_8);
+}
+
+/// Algorithm 1 plans S-Restart at the exhaustive optimum on every converted
+/// profile. Four of them push `t_min^(βr)` past `f64::MAX` inside `r_max`,
+/// which used to turn the Theorem 4 cost into NaN there. On three (β 6/8/8
+/// at t_min 25/50/16) the golden-section tail search then walked off to
+/// `r_max`, and the optimizer returned r = 0 where the exhaustive search
+/// returns 2.
+#[test]
+fn converted_profiles_plan_s_restart_at_the_exhaustive_optimum() {
+    let (converted, _) = convert_fixture();
+    let jobs = TraceLoader::from_reader(converted.as_slice())
+        .expect("valid header")
+        .load()
+        .expect("valid rows");
+    let config = ChronosPolicyConfig::testbed().with_timing(StrategyTiming::trace_default());
+    let optimizer = Optimizer::with_config(config.objective, config.optimizer).unwrap();
+    let mut overflowing = 0;
+    for spec in &jobs {
+        let job = JobProfile::builder()
+            .tasks(spec.task_count() as u32)
+            .t_min(spec.profile.t_min())
+            .beta(spec.profile.beta())
+            .deadline(spec.deadline_secs)
+            .price(spec.price)
+            .build()
+            .expect("converted profile is valid");
+        let (tau_est, tau_kill) = config.timing.resolve(job.t_min());
+        let params = StrategyParams::restart(tau_est, tau_kill).unwrap();
+        let hybrid = optimizer.optimize(&job, &params).unwrap();
+        let exhaustive = optimizer.optimize_exhaustive(&job, &params).unwrap();
+        assert_eq!(hybrid.r, exhaustive.r, "job {}", spec.id.raw());
+        assert_eq!(hybrid.utility, exhaustive.utility, "job {}", spec.id.raw());
+        let max_power = job.beta() * f64::from(optimizer.config().r_max) * job.t_min().log10();
+        if max_power > f64::MAX_10_EXP.into() {
+            overflowing += 1;
+        }
+    }
+    assert_eq!(overflowing, 4, "the fixture keeps its overflow cases");
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use crate::error::ChronosError;
 use crate::job::JobProfile;
-use crate::numeric::{integrate_tail, DEFAULT_QUAD_TOL};
+use crate::numeric::gauss_series;
 use crate::pareto::Pareto;
 use crate::strategy::{StrategyKind, StrategyParams};
 use serde::{Deserialize, Serialize};
@@ -74,16 +74,24 @@ impl CostModel {
     /// * [`ChronosError::InconsistentParameters`] if the expectation is
     ///   infinite for the given `β` and `r` (e.g. Clone needs
     ///   `β·(r+1) > 1`).
-    /// * [`ChronosError::NumericalFailure`] if the Theorem 4 quadrature fails.
+    /// * [`ChronosError::NumericalFailure`] if the Theorem 4 series does not
+    ///   converge or the result is not finite.
     pub fn expected_task_machine_time(&self, r: f64) -> Result<f64, ChronosError> {
         if !r.is_finite() || r < 0.0 {
             return Err(ChronosError::invalid("r", r, "a finite value >= 0"));
         }
-        match self.params.kind() {
+        let time = match self.params.kind() {
             StrategyKind::Clone => self.clone_task_time(r),
             StrategyKind::SpeculativeRestart => self.restart_task_time(r),
             StrategyKind::SpeculativeResume => self.resume_task_time(r),
+        }?;
+        if !time.is_finite() {
+            return Err(ChronosError::numerical(format!(
+                "{} expected task time is {time} at r = {r}",
+                self.params.kind()
+            )));
         }
+        Ok(time)
     }
 
     /// Expected machine running time of the *job*: `N` times the per-task
@@ -135,9 +143,10 @@ impl CostModel {
         Ok(r * self.params.tau_kill() + t_min + t_min / (nb - 1.0))
     }
 
-    /// Theorem 4. The `T_{j,1} > D` branch needs the integral
-    /// `∫_{D−τ_est}^∞ (D/(ω+τ_est))^β (t_min/ω)^{β r} dω`, evaluated
-    /// numerically; the rest is closed form.
+    /// Theorem 4. The `T_{j,1} > D` branch needs the expected remaining
+    /// time of the fastest of the conditioned original attempt and the `r`
+    /// restarted extras, a survival integral over two segments; both have
+    /// closed forms.
     fn restart_task_time(&self, r: f64) -> Result<f64, ChronosError> {
         let beta = self.job.beta();
         let t_min = self.job.t_min();
@@ -161,18 +170,7 @@ impl CostModel {
         // attempt surely exceeds ω, so the integrand is (t_min/ω)^(βr).
         let seg1 = integral_power_segment(t_min, window, beta * r)?;
         // Segment 2: ω ∈ [D − τ_est, ∞). Decays like ω^(−β(r+1)).
-        let decay = beta * (r + 1.0);
-        if decay <= 1.0 {
-            return Err(ChronosError::inconsistent(format!(
-                "Speculative-Restart expected time infinite: beta*(r+1) = {decay} <= 1"
-            )));
-        }
-        let seg2 = integrate_tail(
-            |omega| (d / (omega + tau_est)).powf(beta) * (t_min / omega).powf(beta * r),
-            window,
-            decay,
-            DEFAULT_QUAD_TOL,
-        )?;
+        let seg2 = restart_tail(t_min, beta, d, tau_est, r)?;
         let expected_w_all = t_min + seg1 + seg2;
         let late = tau_est + r * (tau_kill - tau_est) + expected_w_all;
 
@@ -212,18 +210,41 @@ impl CostModel {
     }
 }
 
-/// `∫_a^b (a/ω)^p dω` for `b ≥ a > 0`, handling the `p = 1` logarithmic case.
+/// `∫_a^b (a/ω)^p dω` for `b ≥ a > 0`.
+///
+/// Written as `a·ln(b/a)·(e^x − 1)/x` with `x = (1 − p)·ln(b/a)`, which is
+/// finite for every `p` (the textbook `a^p·(b^(1−p) − a^(1−p))/(1 − p)`
+/// overflows to `inf·0` once `a^p` does) and reduces to `a·ln(b/a)` at
+/// `p = 1`.
 fn integral_power_segment(a: f64, b: f64, p: f64) -> Result<f64, ChronosError> {
     if b < a {
         return Err(ChronosError::numerical(format!(
             "power segment requires b >= a, got a = {a}, b = {b}"
         )));
     }
-    if (p - 1.0).abs() < 1e-12 {
-        return Ok(a * (b / a).ln());
+    let log_ratio = (b / a).ln();
+    let x = (1.0 - p) * log_ratio;
+    let exprel = if x == 0.0 { 1.0 } else { x.exp_m1() / x };
+    Ok(a * log_ratio * exprel)
+}
+
+/// Segment 2 of Theorem 4:
+/// `∫_w^∞ (D/(ω+τ_est))^β (t_min/ω)^(βr) dω` with `w = D − τ_est`.
+///
+/// Substituting `ω = w/(1 − t)` gives Euler's integral of
+/// `₂F₁(β, 1; c; y)` with `c = β(r+1)` and `y = τ_est/D`, so the tail is
+/// `w·(t_min/w)^(βr)/(c − 1)·₂F₁(β, 1; c; y)`. Every factor stays in range:
+/// `t_min < w` keeps the power at most 1, and the series terms are at most 1.
+fn restart_tail(t_min: f64, beta: f64, d: f64, tau_est: f64, r: f64) -> Result<f64, ChronosError> {
+    let c = beta * (r + 1.0);
+    if c <= 1.0 {
+        return Err(ChronosError::inconsistent(format!(
+            "Speculative-Restart expected time infinite: beta*(r+1) = {c} <= 1"
+        )));
     }
-    // ∫_a^b a^p ω^(-p) dω = a^p (b^(1-p) − a^(1-p)) / (1 − p)
-    Ok(a.powf(p) * (b.powf(1.0 - p) - a.powf(1.0 - p)) / (1.0 - p))
+    let window = d - tau_est;
+    let series = gauss_series(beta, c, tau_est / d)?;
+    Ok(window * (t_min / window).powf(beta * r) / (c - 1.0) * series)
 }
 
 /// Expected machine time of a single task under Clone evaluated by Monte
@@ -252,7 +273,7 @@ pub fn monte_carlo_clone_task_time<R: rand::Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::numeric::approx_eq;
+    use crate::numeric::{approx_eq, integrate_tail};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -324,7 +345,46 @@ mod tests {
         // E[T|T≤D]P(T≤D) + E[T|T>D]P(T>D) = E[T].
         let m = restart_cost();
         let got = m.expected_task_machine_time(0.0).unwrap();
-        assert!(approx_eq(got, 60.0, 1e-6, 1e-8), "got {got}");
+        assert!(approx_eq(got, 60.0, 0.0, 1e-13), "got {got}");
+    }
+
+    #[test]
+    fn theorem4_tail_at_r_zero_is_exact() {
+        // With no extras the tail is ∫_w^∞ (D/(ω+τ_est))^β dω = D/(β−1)
+        // exactly, for any τ_est < D: the series must reproduce it as
+        // β → 1⁺ (where 1/(c−1) blows up) and as τ_est → D (where y → 1
+        // and the series needs the most terms).
+        let (t_min, d) = (20.0, 100.0);
+        for beta in [1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.01, 1.5] {
+            let tail = restart_tail(t_min, beta, d, 40.0, 0.0).unwrap();
+            let exact = d / (beta - 1.0);
+            assert!(approx_eq(tail, exact, 0.0, 1e-13), "beta {beta}: {tail}");
+        }
+        for gap in [1e-1, 1e-2, 1e-3, 1e-4] {
+            let tau_est = d * (1.0 - gap);
+            let tail = restart_tail(t_min, 1.5, d, tau_est, 0.0).unwrap();
+            assert!(approx_eq(tail, 2.0 * d, 0.0, 1e-9), "gap {gap}: {tail}");
+        }
+    }
+
+    #[test]
+    fn theorem4_stays_finite_where_the_power_overflows() {
+        // β = 8, t_min = 50: t_min^(βr) passes f64::MAX from r ≈ 23, which
+        // used to turn segment 1 into inf·0 = NaN.
+        let job = JobProfile::builder()
+            .tasks(1)
+            .t_min(50.0)
+            .beta(8.0)
+            .deadline(800.0 / 7.0)
+            .build()
+            .unwrap();
+        let m = CostModel::new(job, StrategyParams::restart(15.0, 30.0).unwrap()).unwrap();
+        let mut prev = m.expected_task_machine_time(1.0).unwrap();
+        for r in 2..=64 {
+            let cur = m.expected_task_machine_time(f64::from(r)).unwrap();
+            assert!(cur.is_finite() && cur > prev, "r={r}: {cur} after {prev}");
+            prev = cur;
+        }
     }
 
     #[test]
@@ -355,8 +415,7 @@ mod tests {
             };
             orig * extra
         };
-        let tail = crate::numeric::integrate_tail(survival_product, t_min, beta * (r + 1.0), 1e-12)
-            .unwrap();
+        let tail = integrate_tail(survival_product, t_min, beta * (r + 1.0), 1e-12).unwrap();
         let expected_w_all = t_min + tail;
         let late = tau_est + r * (tau_kill - tau_est) + expected_w_all;
         let manual = on_time * (1.0 - p_miss) + late * p_miss;
@@ -524,5 +583,53 @@ mod tests {
         // ∫_2^8 (2/ω)^3 dω = 8·[−ω^-2/2]_2^8 = 8·(1/8 − 1/128) = 0.9375
         let v = integral_power_segment(2.0, 8.0, 3.0).unwrap();
         assert!(approx_eq(v, 0.9375, 1e-12, 1e-12));
+        // p < 1 grows with b: ∫_1^4 ω^(-1/2) dω = 2.
+        let v = integral_power_segment(1.0, 4.0, 0.5).unwrap();
+        assert!(approx_eq(v, 2.0, 1e-12, 1e-12));
+    }
+
+    #[test]
+    fn power_segment_is_finite_for_huge_exponents() {
+        // a^p overflows here; the segment tends to a/(p−1).
+        let v = integral_power_segment(50.0, 97.0, 500.0).unwrap();
+        assert!(approx_eq(v, 50.0 / 499.0, 0.0, 1e-12), "{v}");
+        assert_eq!(integral_power_segment(50.0, 50.0, 500.0).unwrap(), 0.0);
+        // Near p = 1 it joins the logarithmic case continuously.
+        let near = integral_power_segment(2.0, 8.0, 1.0 + 1e-13).unwrap();
+        assert!(approx_eq(near, 2.0 * (4.0f64).ln(), 0.0, 1e-12));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The series tail equals the quadrature oracle wherever the oracle
+        /// can truncate (β(r+1) ≥ 1.05), up to β = 8, t_min = 500 and
+        /// τ_est/D = 0.95.
+        #[test]
+        fn theorem4_tail_series_matches_quadrature(
+            t_min in 1.0f64..500.0,
+            beta in 1.0f64..8.0,
+            y in 0.0f64..0.95,
+            slack in 1.0f64..6.0,
+            r in 0.0f64..24.0,
+        ) {
+            let c = beta * (r + 1.0);
+            proptest::prop_assume!(c >= 1.05);
+            let window = slack * t_min;
+            let d = window / (1.0 - y);
+            let tau_est = d - window;
+            let series = restart_tail(t_min, beta, d, tau_est, r).unwrap();
+            let oracle = integrate_tail(
+                |omega| (d / (omega + tau_est)).powf(beta) * (t_min / omega).powf(beta * r),
+                window,
+                c,
+                1e-12 * window,
+            )
+            .unwrap();
+            proptest::prop_assert!(
+                approx_eq(series, oracle, 1e-10 * window, 1e-8),
+                "series {} vs quadrature {}", series, oracle
+            );
+        }
     }
 }

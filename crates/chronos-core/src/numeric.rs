@@ -1,10 +1,12 @@
 //! Numerical routines used by the cost models and the optimizer.
 //!
-//! The Speculative-Restart cost expression (Theorem 4) contains an integral
-//! with no elementary antiderivative; [`integrate_adaptive`] and
-//! [`integrate_tail`] evaluate it. The optimizer (Algorithm 1) relies on
-//! [`central_difference`] for gradients of the net-utility objective and on
-//! [`golden_section_max`] as the line-search backend.
+//! The tail of the Speculative-Restart cost (Theorem 4) is a Gauss
+//! hypergeometric function, which [`gauss_series`] sums directly. The
+//! quadrature routines [`integrate_adaptive`] and [`integrate_tail`] stay as
+//! general-purpose tools and as the reference the closed forms are tested
+//! against. The optimizer (Algorithm 1) relies on [`central_difference`] for
+//! gradients of the net-utility objective and on [`golden_section_max`] as
+//! the line-search backend.
 
 use crate::error::ChronosError;
 
@@ -13,6 +15,65 @@ pub const DEFAULT_QUAD_TOL: f64 = 1e-10;
 
 /// Maximum recursion depth for adaptive Simpson quadrature.
 const MAX_DEPTH: u32 = 48;
+
+/// Largest transformed upper limit [`integrate_tail`] integrates to: the
+/// substitution `x = a·e^u` maps `u = 700` to `x ≈ a·1e304`.
+const TAIL_U_CAP: f64 = 700.0;
+
+/// Relative size of the bounded remainder at which [`gauss_series`] stops.
+const SERIES_REL_TOL: f64 = 1e-17;
+
+/// Most terms [`gauss_series`] sums before reporting a failure; reached only
+/// when `y` is within about `4e-5` of 1.
+const MAX_SERIES_TERMS: u32 = 1 << 20;
+
+/// The Gauss hypergeometric series `₂F₁(b, 1; c; y) = Σ_k (b)_k/(c)_k · y^k`
+/// for `0 < b ≤ c` and `0 ≤ y < 1`.
+///
+/// Each term is the previous one times `(b+k)/(c+k)·y ≤ y`, so the terms
+/// after the current one sum to at most `term·y/(1−y)`. The loop stops once
+/// that bound falls below `1e-17` of the running sum. Every term is positive
+/// and at most 1, so the sum cannot overflow.
+///
+/// # Errors
+///
+/// Returns [`ChronosError::NumericalFailure`] if the arguments are outside
+/// the domain above or the series has not converged after 2^20 terms.
+///
+/// # Examples
+///
+/// ```
+/// use chronos_core::numeric::gauss_series;
+///
+/// # fn main() -> Result<(), chronos_core::ChronosError> {
+/// // b = c collapses to the geometric series 1/(1 − y).
+/// let v = gauss_series(2.0, 2.0, 0.5)?;
+/// assert!((v - 2.0).abs() < 1e-15);
+/// # Ok(())
+/// # }
+/// ```
+pub fn gauss_series(b: f64, c: f64, y: f64) -> Result<f64, ChronosError> {
+    if !(b > 0.0 && c >= b && c.is_finite() && (0.0..1.0).contains(&y)) {
+        return Err(ChronosError::numerical(format!(
+            "gauss series needs 0 < b <= c and 0 <= y < 1, got b = {b}, c = {c}, y = {y}"
+        )));
+    }
+    let tail_bound = y / (1.0 - y);
+    let mut term = 1.0;
+    let mut sum = 1.0;
+    let mut k = 0.0;
+    for _ in 0..MAX_SERIES_TERMS {
+        if term * tail_bound <= SERIES_REL_TOL * sum {
+            return Ok(sum);
+        }
+        term *= (b + k) / (c + k) * y;
+        sum += term;
+        k += 1.0;
+    }
+    Err(ChronosError::numerical(format!(
+        "gauss series did not converge in {MAX_SERIES_TERMS} terms (b = {b}, c = {c}, y = {y})"
+    )))
+}
 
 /// Adaptive Simpson quadrature of `f` over the finite interval `[a, b]`.
 ///
@@ -68,7 +129,9 @@ where
 /// # Errors
 ///
 /// Returns [`ChronosError::NumericalFailure`] if `a <= 0`, if
-/// `decay_exponent <= 1`, or if the underlying quadrature fails.
+/// `decay_exponent <= 1`, if the decay is too slow for the truncation to
+/// reach `~1e-14` within `u = 700` (`32/(p−1) > 700`), or if the underlying
+/// quadrature fails.
 ///
 /// # Examples
 ///
@@ -98,7 +161,12 @@ where
     }
     // After x = a e^u the integrand becomes f(a e^u) * a e^u, which decays
     // like e^{-(p-1) u}. Truncate where that factor reaches ~1e-14.
-    let u_max = (32.0 / (decay_exponent - 1.0)).min(700.0);
+    let u_max = 32.0 / (decay_exponent - 1.0);
+    if u_max > TAIL_U_CAP {
+        return Err(ChronosError::numerical(format!(
+            "tail integration cannot truncate decay exponent {decay_exponent} within u = {TAIL_U_CAP}"
+        )));
+    }
     let transformed = |u: f64| {
         let x = a * u.exp();
         f(x) * x
@@ -310,6 +378,48 @@ mod tests {
     #[test]
     fn tail_rejects_nonpositive_start() {
         let err = integrate_tail(|x| x.powi(-2), 0.0, 2.0, 1e-10).unwrap_err();
+        assert!(matches!(err, ChronosError::NumericalFailure { .. }));
+    }
+
+    #[test]
+    fn tail_rejects_decay_too_slow_to_truncate() {
+        // p = 1.01 needs u up to 3200; truncating at 700 would silently
+        // drop ~1e-3 of the integral.
+        let err = integrate_tail(|x| x.powf(-1.01), 1.0, 1.01, 1e-10).unwrap_err();
+        assert!(matches!(err, ChronosError::NumericalFailure { .. }));
+        assert!(integrate_tail(|x| x.powf(-1.05), 1.0, 1.05, 1e-10).is_ok());
+    }
+
+    #[test]
+    fn gauss_series_matches_closed_forms() {
+        // b = c: geometric series.
+        for y in [0.0, 0.3, 0.9, 0.999] {
+            let v = gauss_series(1.7, 1.7, y).unwrap();
+            assert!(approx_eq(v, 1.0 / (1.0 - y), 0.0, 1e-12), "y={y}: {v}");
+        }
+        // ₂F₁(1, 1; 2; y) = −ln(1 − y)/y.
+        for y in [0.1, 0.5, 0.95] {
+            let v = gauss_series(1.0, 2.0, y).unwrap();
+            let exact = -(-y).ln_1p() / y;
+            assert!(approx_eq(v, exact, 0.0, 1e-14), "y={y}: {v} vs {exact}");
+        }
+    }
+
+    #[test]
+    fn gauss_series_rejects_outside_domain_and_non_convergence() {
+        for (b, c, y) in [
+            (0.0, 1.0, 0.5),
+            (2.0, 1.0, 0.5),
+            (1.0, 2.0, 1.0),
+            (1.0, 2.0, -0.1),
+            (1.0, f64::INFINITY, 0.5),
+            (f64::NAN, 2.0, 0.5),
+        ] {
+            let err = gauss_series(b, c, y).unwrap_err();
+            assert!(matches!(err, ChronosError::NumericalFailure { .. }));
+        }
+        // Within the domain but too close to y = 1 for the term cap.
+        let err = gauss_series(1.0, 1.0, 1.0 - 1e-9).unwrap_err();
         assert!(matches!(err, ChronosError::NumericalFailure { .. }));
     }
 

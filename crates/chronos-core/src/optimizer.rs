@@ -13,6 +13,7 @@ use crate::numeric::{central_difference, golden_section_max};
 use crate::strategy::{StrategyKind, StrategyParams};
 use crate::utility::{NetUtility, UtilityModel};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 
 /// Which continuous search backend drives the concave-tail phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -346,18 +347,16 @@ impl Optimizer {
         if hi <= lo {
             return Ok(lo);
         }
-        golden_section_max(
-            |r| net.utility_continuous(r).unwrap_or(f64::NEG_INFINITY),
-            lo,
-            hi,
-            1e-4,
-        )
+        let failure = Cell::new(None);
+        let peak = golden_section_max(|r| searched_utility(net, r, &failure), lo, hi, 1e-4)?;
+        failure.into_inner().map_or(Ok(peak), Err)
     }
 
     /// Gradient ascent with backtracking, transcribing the loop of
     /// Algorithm 1 onto the continuous relaxation.
     fn gradient_peak(&self, net: &NetUtility, lo: f64, hi: f64) -> Result<f64, ChronosError> {
-        let f = |r: f64| net.utility_continuous(r).unwrap_or(f64::NEG_INFINITY);
+        let failure = Cell::new(None);
+        let f = |r: f64| searched_utility(net, r, &failure);
         let mut r = lo.max(0.0);
         let h = 1e-4;
         for _ in 0..200 {
@@ -384,7 +383,24 @@ impl Optimizer {
                 break;
             }
         }
-        Ok(r.clamp(lo, hi))
+        failure.into_inner().map_or(Ok(r.clamp(lo, hi)), Err)
+    }
+}
+
+/// The continuous objective the tail searches maximize. An infinite
+/// expectation ([`ChronosError::InconsistentParameters`]) is a legitimately
+/// unboundedly bad point and reads as `−∞`; any other error is kept in
+/// `failure` (the first one wins) for the search to return, and also reads
+/// as `−∞` so the search finishes without further surprises.
+fn searched_utility(net: &NetUtility, r: f64, failure: &Cell<Option<ChronosError>>) -> f64 {
+    match net.utility_continuous(r) {
+        Ok(utility) => utility,
+        Err(ChronosError::InconsistentParameters { .. }) => f64::NEG_INFINITY,
+        Err(err) => {
+            let first = failure.take().unwrap_or(err);
+            failure.set(Some(first));
+            f64::NEG_INFINITY
+        }
     }
 }
 
@@ -574,6 +590,56 @@ mod tests {
         let optimizer = Optimizer::new(UtilityModel::new(1e-4, 0.0).unwrap());
         let hopeless = vec![StrategyParams::restart(95.0, 99.0).unwrap()];
         assert!(optimizer.rank_strategies(&job(), &hopeless).is_err());
+    }
+
+    #[test]
+    fn tail_searches_pass_numerical_failures_up() {
+        // τ_est within 2e-6·D of the deadline: the Theorem 4 series would
+        // need ~2e7 terms, past its cap.
+        let job = JobProfile::builder()
+            .tasks(10)
+            .t_min(1.0)
+            .beta(1.5)
+            .deadline(1e6)
+            .build()
+            .unwrap();
+        let params = StrategyParams::restart(1e6 - 2.0, 1e6 - 1.0).unwrap();
+        let objective = UtilityModel::new(1e-4, 0.0).unwrap();
+        let net = objective.for_job(&job, &params).unwrap();
+        let failure = Cell::new(None);
+        assert_eq!(searched_utility(&net, 1.5, &failure), f64::NEG_INFINITY);
+        assert!(matches!(
+            failure.take(),
+            Some(ChronosError::NumericalFailure { .. })
+        ));
+        for method in [SearchMethod::GoldenSection, SearchMethod::GradientAscent] {
+            let config = OptimizerConfig {
+                method,
+                ..OptimizerConfig::default()
+            };
+            let optimizer = Optimizer::with_config(objective, config).unwrap();
+            let peak = match method {
+                SearchMethod::GoldenSection => optimizer.golden_peak(&net, 0.0, 4.0),
+                SearchMethod::GradientAscent => optimizer.gradient_peak(&net, 0.0, 4.0),
+            };
+            assert!(
+                matches!(peak, Err(ChronosError::NumericalFailure { .. })),
+                "{method:?}: {peak:?}"
+            );
+        }
+
+        // An infinite expectation is an unboundedly bad point, not a failure.
+        let heavy = JobProfile::builder()
+            .beta(0.8)
+            .t_min(20.0)
+            .deadline(100.0)
+            .build()
+            .unwrap();
+        let net = objective
+            .for_job(&heavy, &StrategyParams::clone_strategy(80.0))
+            .unwrap();
+        assert_eq!(searched_utility(&net, 0.1, &failure), f64::NEG_INFINITY);
+        assert!(failure.take().is_none());
     }
 
     #[test]

@@ -162,7 +162,8 @@ impl NetUtility {
     ///
     /// # Errors
     ///
-    /// Propagates cost-model failures (infinite expectations, quadrature).
+    /// Propagates cost-model failures (infinite expectations, numerical
+    /// failures).
     pub fn utility(&self, r: u32) -> Result<f64, ChronosError> {
         self.utility_continuous(f64::from(r))
     }
@@ -172,7 +173,8 @@ impl NetUtility {
     ///
     /// # Errors
     ///
-    /// Propagates cost-model failures (infinite expectations, quadrature).
+    /// Propagates cost-model failures (infinite expectations, numerical
+    /// failures).
     pub fn utility_continuous(&self, r: f64) -> Result<f64, ChronosError> {
         let pocd = self.pocd.pocd_continuous(r);
         let margin = pocd - self.objective.r_min;

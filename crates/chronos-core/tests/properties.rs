@@ -35,6 +35,33 @@ fn job_and_timing() -> impl Strategy<Value = (JobProfile, f64, f64, f64)> {
         )
 }
 
+/// Trace-like generator: the heavy tails and large scales the Google
+/// converter produces (β up to 8, t_min up to 500 s) and estimation points
+/// up to 95% of the deadline, where the Theorem 4 tail series needs the most
+/// terms. `slack` is the reactive window `D − τ_est` in units of `t_min`.
+fn trace_like_job_and_timing() -> impl Strategy<Value = (JobProfile, f64, f64)> {
+    (
+        1u32..200,     // tasks
+        1.0f64..500.0, // t_min
+        1.05f64..8.0,  // beta
+        0.0f64..0.95,  // tau_est as fraction of deadline
+        1.01f64..4.0,  // slack
+    )
+        .prop_map(|(tasks, t_min, beta, est_frac, slack)| {
+            let window = slack * t_min;
+            let deadline = window / (1.0 - est_frac);
+            let job = JobProfile::builder()
+                .tasks(tasks)
+                .t_min(t_min)
+                .beta(beta)
+                .deadline(deadline)
+                .build()
+                .expect("generated job parameters are valid");
+            let tau_est = deadline - window;
+            (job, tau_est, tau_est + 0.3 * t_min)
+        })
+}
+
 fn all_strategies(tau_est: f64, tau_kill: f64, phi: f64) -> Vec<StrategyParams> {
     vec![
         StrategyParams::clone_strategy(tau_kill),
@@ -167,6 +194,40 @@ proptest! {
                 "{:?}: hybrid r={} u={} vs exhaustive r={} u={}",
                 params.kind(), hybrid.r, hybrid.utility, exhaustive.r, exhaustive.utility
             );
+        }
+    }
+
+    /// On trace-like profiles the S-Restart machine time is finite at every
+    /// r the optimizer may visit, and Algorithm 1 still finds the exhaustive
+    /// optimum (large βr used to overflow segment 1 of Theorem 4 to NaN,
+    /// which sent the golden-section search to r_max).
+    #[test]
+    fn algorithm1_is_globally_optimal_on_trace_like_profiles(
+        (job, tau_est, tau_kill) in trace_like_job_and_timing(),
+        theta_exp in -6.0f64..-2.0,
+    ) {
+        let params = StrategyParams::restart(tau_est, tau_kill).unwrap();
+        let cost = CostModel::new(job, params).unwrap();
+        let optimizer = Optimizer::new(UtilityModel::new(10f64.powf(theta_exp), 0.0).unwrap());
+        for r in 0..=optimizer.config().r_max {
+            let time = cost.expected_job_machine_time(f64::from(r)).unwrap();
+            prop_assert!(time.is_finite() && time > 0.0, "r={}: {}", r, time);
+        }
+        let hybrid = optimizer.optimize(&job, &params);
+        let exhaustive = optimizer.optimize_exhaustive(&job, &params);
+        match (hybrid, exhaustive) {
+            (Ok(hybrid), Ok(exhaustive)) => {
+                prop_assert!(hybrid.machine_time.is_finite());
+                prop_assert!(
+                    (hybrid.utility - exhaustive.utility).abs() < 1e-9,
+                    "hybrid r={} u={} vs exhaustive r={} u={}",
+                    hybrid.r, hybrid.utility, exhaustive.r, exhaustive.utility
+                );
+            }
+            (Err(ChronosError::Infeasible { .. }), Err(ChronosError::Infeasible { .. })) => {}
+            (hybrid, exhaustive) => {
+                prop_assert!(false, "hybrid {:?} vs exhaustive {:?}", hybrid, exhaustive);
+            }
         }
     }
 

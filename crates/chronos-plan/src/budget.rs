@@ -55,11 +55,10 @@
 //! than raw slots keeps the allocator exactly on the per-job utility
 //! curves the rest of the system optimizes.
 
-use crate::key::ProfileKey;
 use crate::planner::{PlanRequest, Planner};
 use chronos_core::ChronosError;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// A global speculative-copy budget: either unlimited (the classic
@@ -296,11 +295,6 @@ fn water_fill(
 ) -> Result<Vec<u32>, ChronosError> {
     // Per-job concave-envelope blocks, cheapest representation: the block
     // list plus a cursor. Only feasible jobs with r* > 0 participate.
-    // Identical requests have identical curves, so the envelope is memoized
-    // per profile key — the closed forms behind `utility` involve numerical
-    // quadrature (Theorem 4), far too costly to re-evaluate for each of
-    // thousands of same-profile jobs in a round.
-    let mut memo: HashMap<ProfileKey, Vec<Block>> = HashMap::new();
     let mut blocks: Vec<Vec<Block>> = Vec::with_capacity(jobs.len());
     for (index, job) in jobs.iter().enumerate() {
         let r_star = unconstrained[index];
@@ -308,24 +302,14 @@ fn water_fill(
             blocks.push(Vec::new());
             continue;
         }
-        let key = planner.key_of(&job.request);
-        let job_blocks = match memo.get(&key) {
-            Some(job_blocks) => job_blocks.clone(),
-            None => {
-                let net = planner
-                    .optimizer()
-                    .objective()
-                    .for_job(&job.request.job, &job.request.params)?;
-                let mut utilities = Vec::with_capacity(r_star as usize + 1);
-                for r in 0..=r_star {
-                    utilities.push(net.utility(r)?);
-                }
-                let job_blocks = envelope_blocks(&utilities);
-                memo.insert(key, job_blocks.clone());
-                job_blocks
-            }
-        };
-        blocks.push(job_blocks);
+        let net = planner
+            .optimizer()
+            .objective()
+            .for_job(&job.request.job, &job.request.params)?;
+        let utilities = (0..=r_star)
+            .map(|r| net.utility(r))
+            .collect::<Result<Vec<f64>, ChronosError>>()?;
+        blocks.push(envelope_blocks(&utilities));
     }
 
     let mut granted = vec![0u32; jobs.len()];

@@ -24,7 +24,7 @@ const TAIL_U_CAP: f64 = 700.0;
 const SERIES_REL_TOL: f64 = 1e-17;
 
 /// Most terms [`gauss_series`] sums before reporting a failure; reached only
-/// when `y` is within about `4e-5` of 1.
+/// when `y` is within about `5e-5` of 1.
 const MAX_SERIES_TERMS: u32 = 1 << 20;
 
 /// The Gauss hypergeometric series `₂F₁(b, 1; c; y) = Σ_k (b)_k/(c)_k · y^k`

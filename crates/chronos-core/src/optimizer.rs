@@ -387,11 +387,10 @@ impl Optimizer {
     }
 }
 
-/// The continuous objective the tail searches maximize. An infinite
-/// expectation ([`ChronosError::InconsistentParameters`]) is a legitimately
-/// unboundedly bad point and reads as `−∞`; any other error is kept in
-/// `failure` (the first one wins) for the search to return, and also reads
-/// as `−∞` so the search finishes without further surprises.
+/// The objective the continuous tail searches maximize. An infinite
+/// expectation ([`ChronosError::InconsistentParameters`]) is an unboundedly
+/// bad point and reads as `−∞`. Any other error also reads as `−∞`, and the
+/// first one is kept in `failure` for the search to return.
 fn searched_utility(net: &NetUtility, r: f64, failure: &Cell<Option<ChronosError>>) -> f64 {
     match net.utility_continuous(r) {
         Ok(utility) => utility,

@@ -138,9 +138,9 @@ fn converted_trace_replays_bit_identically_at_1_and_8_workers() {
 /// Algorithm 1 plans S-Restart at the exhaustive optimum on every converted
 /// profile. Four of them push `t_min^(βr)` past `f64::MAX` inside `r_max`,
 /// which used to turn the Theorem 4 cost into NaN there. On three (β 6/8/8
-/// at t_min 25/50/16) the golden-section tail search then walked off to
-/// `r_max`, and the optimizer returned r = 0 where the exhaustive search
-/// returns 2.
+/// at t_min 25/50/16) the continuous tail search Algorithm 1 used then
+/// walked off to `r_max`, and the optimizer returned r = 0 where the
+/// exhaustive search returns 2.
 #[test]
 fn converted_profiles_plan_s_restart_at_the_exhaustive_optimum() {
     let (converted, _) = convert_fixture();

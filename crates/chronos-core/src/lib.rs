@@ -15,7 +15,8 @@
 //! * [`cost`] — Theorems 2, 4, 6,
 //! * [`utility`] — the net-utility objective and the concavity thresholds of
 //!   Theorem 8,
-//! * [`optimizer`] — Algorithm 1 (hybrid line search + exhaustive head),
+//! * [`optimizer`] — Algorithm 1 (an upward integer walk that stops on the
+//!   concave tail),
 //! * [`frontier`] — the PoCD/cost tradeoff frontier used for SLA budgeting.
 //!
 //! # Quick example

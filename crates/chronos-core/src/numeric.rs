@@ -1,12 +1,11 @@
-//! Numerical routines used by the cost models and the optimizer.
+//! Numerical routines used by the cost models.
 //!
 //! The tail of the Speculative-Restart cost (Theorem 4) is a Gauss
 //! hypergeometric function, which [`gauss_series`] sums directly. The
 //! quadrature routines [`integrate_adaptive`] and [`integrate_tail`] stay as
 //! general-purpose tools and as the reference the closed forms are tested
-//! against. The optimizer (Algorithm 1) relies on [`central_difference`] for
-//! gradients of the net-utility objective and on [`golden_section_max`] as
-//! the line-search backend.
+//! against. The optimizer (Algorithm 1) needs no numerical routine: it walks
+//! the integers (see [`crate::optimizer`]).
 
 use crate::error::ChronosError;
 
@@ -209,91 +208,6 @@ fn simpson(a: f64, b: f64, fa: f64, fm: f64, fb: f64) -> f64 {
     (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 }
 
-/// Central-difference approximation of `d f / d x` at `x` with step `h`.
-///
-/// Used by the gradient phase of Algorithm 1 where the net-utility objective
-/// is treated as a function of a continuous relaxation of `r`.
-///
-/// # Examples
-///
-/// ```
-/// use chronos_core::numeric::central_difference;
-///
-/// let d = central_difference(|x| x * x, 3.0, 1e-5);
-/// assert!((d - 6.0).abs() < 1e-4);
-/// ```
-pub fn central_difference<F>(f: F, x: f64, h: f64) -> f64
-where
-    F: Fn(f64) -> f64,
-{
-    let h = if h > 0.0 { h } else { 1e-6 };
-    (f(x + h) - f(x - h)) / (2.0 * h)
-}
-
-/// Golden-section search for the maximum of a unimodal function on `[lo, hi]`.
-///
-/// Returns the abscissa of the maximum. This is the line-search backend used
-/// on the concave tail (`r > Γ_strategy`) of the net-utility objective, where
-/// Theorem 8 guarantees unimodality.
-///
-/// # Errors
-///
-/// Returns [`ChronosError::NumericalFailure`] when the bounds are not finite
-/// or `lo > hi`.
-///
-/// # Examples
-///
-/// ```
-/// use chronos_core::numeric::golden_section_max;
-///
-/// # fn main() -> Result<(), chronos_core::ChronosError> {
-/// let x = golden_section_max(|x| -(x - 2.0) * (x - 2.0), 0.0, 10.0, 1e-9)?;
-/// assert!((x - 2.0).abs() < 1e-6);
-/// # Ok(())
-/// # }
-/// ```
-pub fn golden_section_max<F>(f: F, lo: f64, hi: f64, tol: f64) -> Result<f64, ChronosError>
-where
-    F: Fn(f64) -> f64,
-{
-    if !lo.is_finite() || !hi.is_finite() {
-        return Err(ChronosError::numerical(format!(
-            "golden-section bounds must be finite, got [{lo}, {hi}]"
-        )));
-    }
-    if lo > hi {
-        return Err(ChronosError::numerical(format!(
-            "golden-section requires lo <= hi, got [{lo}, {hi}]"
-        )));
-    }
-    let tol = if tol > 0.0 { tol } else { 1e-9 };
-    let inv_phi = (5.0_f64.sqrt() - 1.0) / 2.0;
-    let mut a = lo;
-    let mut b = hi;
-    let mut c = b - inv_phi * (b - a);
-    let mut d = a + inv_phi * (b - a);
-    let mut fc = f(c);
-    let mut fd = f(d);
-    let mut iterations = 0usize;
-    while (b - a).abs() > tol && iterations < 400 {
-        if fc >= fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - inv_phi * (b - a);
-            fc = f(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + inv_phi * (b - a);
-            fd = f(d);
-        }
-        iterations += 1;
-    }
-    Ok(0.5 * (a + b))
-}
-
 /// Clamps a floating-point value into a probability in `[0, 1]`.
 ///
 /// Closed-form PoCD expressions can drift marginally outside `[0, 1]` due to
@@ -421,29 +335,6 @@ mod tests {
         // Within the domain but too close to y = 1 for the term cap.
         let err = gauss_series(1.0, 1.0, 1.0 - 1e-9).unwrap_err();
         assert!(matches!(err, ChronosError::NumericalFailure { .. }));
-    }
-
-    #[test]
-    fn central_difference_of_exponential() {
-        let d = central_difference(|x| x.exp(), 1.0, 1e-6);
-        assert!((d - 1.0f64.exp()).abs() < 1e-5);
-    }
-
-    #[test]
-    fn golden_section_finds_parabola_peak() {
-        let x = golden_section_max(|x| 4.0 - (x - 3.5).powi(2), 0.0, 20.0, 1e-10).unwrap();
-        assert!((x - 3.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn golden_section_degenerate_interval() {
-        let x = golden_section_max(|x| -x * x, 2.0, 2.0, 1e-10).unwrap();
-        assert_eq!(x, 2.0);
-    }
-
-    #[test]
-    fn golden_section_rejects_reversed() {
-        assert!(golden_section_max(|x| x, 3.0, 1.0, 1e-9).is_err());
     }
 
     #[test]

@@ -2,57 +2,37 @@
 //! attempts `r` maximizing net utility.
 //!
 //! Theorem 8 guarantees the objective is concave in `r` above the threshold
-//! `Γ_strategy`, so the optimizer runs a continuous line search on the tail
-//! `r ≥ ⌈Γ⌉` and an exhaustive scan over the (few) integers below the
-//! threshold, then returns the better of the two — which Theorem 9 shows is
-//! the global optimum.
+//! `Γ_strategy`, and Theorem 9 shows that an exhaustive scan of the
+//! integers below `⌈Γ⌉` plus a local search on the concave tail finds the
+//! global optimum. The optimizer does both in one upward integer walk: it
+//! evaluates `U(0), U(1), …` and keeps the first strict maximum, and once
+//! `r ≥ ⌈Γ⌉` it stops at the first drop `U(r+1) < U(r)` from a finite
+//! `U(r)`. On a concave sequence nothing past that drop can be larger.
+//!
+//! The paper's Algorithm 1 phrases the tail search as gradient ascent on a
+//! continuous relaxation of `r`, with a gradient threshold η and a
+//! backtracking line search (α, ξ). On the integers the gradient is the
+//! forward difference `U(r+1) − U(r)`, the step is one attempt, and the
+//! stopping rule `|∇U| ≤ η` becomes "the forward difference is negative",
+//! so the walk needs none of the three constants. It evaluates every `r`
+//! at most once and never probes a fractional `r` it would have to round.
 
 use crate::error::ChronosError;
 use crate::job::JobProfile;
-use crate::numeric::{central_difference, golden_section_max};
 use crate::strategy::{StrategyKind, StrategyParams};
-use crate::utility::{NetUtility, UtilityModel};
+use crate::utility::{NetUtility, Point, UtilityModel};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
-
-/// Which continuous search backend drives the concave-tail phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SearchMethod {
-    /// Golden-section search over the bracketed concave region (robust
-    /// default; does not require derivative estimates).
-    GoldenSection,
-    /// Gradient ascent with backtracking line search, following Algorithm 1
-    /// as printed in the paper (η/α/ξ parameters of [`OptimizerConfig`]).
-    GradientAscent,
-}
 
 /// Tuning knobs of the optimizer.
-///
-/// `eta`, `alpha` and `xi` correspond to the η, α and ξ constants of
-/// Algorithm 1 and only affect the [`SearchMethod::GradientAscent`] backend.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OptimizerConfig {
-    /// Continuous search backend for the concave tail.
-    pub method: SearchMethod,
-    /// Gradient-norm stopping threshold η of Algorithm 1.
-    pub eta: f64,
-    /// Sufficient-decrease constant α of the backtracking line search.
-    pub alpha: f64,
-    /// Backtracking shrink factor ξ ∈ (0, 1).
-    pub xi: f64,
     /// Hard upper bound on `r` considered by the search.
     pub r_max: u32,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
-        OptimizerConfig {
-            method: SearchMethod::GoldenSection,
-            eta: 1e-6,
-            alpha: 0.3,
-            xi: 0.5,
-            r_max: 64,
-        }
+        OptimizerConfig { r_max: 64 }
     }
 }
 
@@ -61,22 +41,8 @@ impl OptimizerConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ChronosError::InvalidParameter`] for non-positive `eta`,
-    /// `alpha` outside `(0, 1)`, `xi` outside `(0, 1)` or `r_max == 0`.
+    /// Returns [`ChronosError::InvalidParameter`] when `r_max == 0`.
     pub fn validate(&self) -> Result<(), ChronosError> {
-        if !(self.eta.is_finite() && self.eta > 0.0) {
-            return Err(ChronosError::invalid("eta", self.eta, "a finite value > 0"));
-        }
-        if !(self.alpha > 0.0 && self.alpha < 1.0) {
-            return Err(ChronosError::invalid(
-                "alpha",
-                self.alpha,
-                "a value in (0, 1)",
-            ));
-        }
-        if !(self.xi > 0.0 && self.xi < 1.0) {
-            return Err(ChronosError::invalid("xi", self.xi, "a value in (0, 1)"));
-        }
         if self.r_max == 0 {
             return Err(ChronosError::invalid("r_max", 0.0, "at least 1"));
         }
@@ -187,56 +153,31 @@ impl Optimizer {
     /// Same as [`optimize`](Self::optimize).
     pub fn optimize_net(&self, net: &NetUtility) -> Result<OptimizationOutcome, ChronosError> {
         let r_max = self.config.r_max;
-        let gamma = net.pocd_model().concave_from();
+        // Without a threshold speculation cannot reduce the failure
+        // probability, so the utility is non-increasing from r = 0.
+        let concave_from = net.pocd_model().concave_from().unwrap_or(0);
 
-        let mut best: Option<(u32, f64)> = None;
-        let consider = |r: u32, utility: f64, best: &mut Option<(u32, f64)>| {
-            if utility.is_finite() {
-                match best {
-                    Some((_, u)) if *u >= utility => {}
-                    _ => *best = Some((r, utility)),
+        let mut best: Option<(u32, Point)> = None;
+        let mut previous = f64::NEG_INFINITY;
+        for r in 0..=r_max {
+            let point = net.evaluate(f64::from(r))?;
+            let utility = point.map_or(f64::NEG_INFINITY, |p| p.utility);
+            // The first drop on the concave tail (r−1 ≥ ⌈Γ⌉) ends the walk:
+            // nothing past it is larger. A drop needs a finite U(r−1), so
+            // the −∞ prefix an R_min floor creates is walked through, and
+            // exact ties keep walking.
+            if r > concave_from && utility < previous {
+                break;
+            }
+            if let Some(point) = point {
+                if best.is_none_or(|(_, b)| point.utility > b.utility) {
+                    best = Some((r, point));
                 }
             }
-        };
-
-        match gamma {
-            None => {
-                // Speculation cannot reduce the failure probability; the
-                // utility is non-increasing in r, so scanning a handful of
-                // small values suffices.
-                for r in 0..=r_max.min(4) {
-                    let u = net.utility(r)?;
-                    consider(r, u, &mut best);
-                }
-            }
-            Some(gamma_ceil) => {
-                let gamma_ceil = gamma_ceil.min(r_max);
-                // Phase 2 of Algorithm 1 (run first here, it is cheap):
-                // exhaustively evaluate the non-concave head r < ⌈Γ⌉, plus
-                // ⌈Γ⌉ itself.
-                for r in 0..=gamma_ceil {
-                    let u = net.utility(r)?;
-                    consider(r, u, &mut best);
-                }
-                // Phase 1: continuous search on the concave tail.
-                let lo = f64::from(gamma_ceil);
-                let hi = f64::from(self.bracket_upper_bound(net, gamma_ceil)?);
-                let peak = match self.config.method {
-                    SearchMethod::GoldenSection => self.golden_peak(net, lo, hi)?,
-                    SearchMethod::GradientAscent => self.gradient_peak(net, lo, hi)?,
-                };
-                // The integer optimum on a concave function is at ⌊x*⌋ or ⌈x*⌉.
-                for candidate in [peak.floor(), peak.ceil()] {
-                    if candidate >= 0.0 && candidate <= f64::from(r_max) {
-                        let r = candidate as u32;
-                        let u = net.utility(r)?;
-                        consider(r, u, &mut best);
-                    }
-                }
-            }
+            previous = utility;
         }
 
-        let (r, utility) = best.ok_or_else(|| {
+        let (r, point) = best.ok_or_else(|| {
             ChronosError::infeasible(format!(
                 "no r in [0, {r_max}] satisfies R(r) > R_min = {}",
                 net.objective().r_min()
@@ -245,10 +186,10 @@ impl Optimizer {
         Ok(OptimizationOutcome {
             strategy: net.pocd_model().params().kind(),
             r,
-            utility,
-            pocd: net.pocd(r)?,
-            machine_time: net.machine_time(r)?,
-            dollar_cost: net.dollar_cost(r)?,
+            utility: point.utility,
+            pocd: point.pocd,
+            machine_time: point.machine_time,
+            dollar_cost: net.pocd_model().job().price() * point.machine_time,
         })
     }
 
@@ -322,85 +263,6 @@ impl Optimizer {
             dollar_cost: net.dollar_cost(r)?,
         })
     }
-
-    /// Finds an upper bracket for the concave-tail search by doubling the
-    /// step until the utility drops below its value at the bracket start
-    /// (concavity then guarantees the maximum lies inside).
-    fn bracket_upper_bound(&self, net: &NetUtility, start: u32) -> Result<u32, ChronosError> {
-        let r_max = self.config.r_max;
-        let u_start = net.utility(start)?;
-        let mut step = 1u32;
-        let mut current = start;
-        while current < r_max {
-            let next = current.saturating_add(step).min(r_max);
-            let u_next = net.utility(next)?;
-            if u_next < u_start || next == r_max {
-                return Ok(next);
-            }
-            current = next;
-            step = step.saturating_mul(2);
-        }
-        Ok(r_max)
-    }
-
-    fn golden_peak(&self, net: &NetUtility, lo: f64, hi: f64) -> Result<f64, ChronosError> {
-        if hi <= lo {
-            return Ok(lo);
-        }
-        let failure = Cell::new(None);
-        let peak = golden_section_max(|r| searched_utility(net, r, &failure), lo, hi, 1e-4)?;
-        failure.into_inner().map_or(Ok(peak), Err)
-    }
-
-    /// Gradient ascent with backtracking, transcribing the loop of
-    /// Algorithm 1 onto the continuous relaxation.
-    fn gradient_peak(&self, net: &NetUtility, lo: f64, hi: f64) -> Result<f64, ChronosError> {
-        let failure = Cell::new(None);
-        let f = |r: f64| searched_utility(net, r, &failure);
-        let mut r = lo.max(0.0);
-        let h = 1e-4;
-        for _ in 0..200 {
-            let grad = central_difference(f, r.max(h), h);
-            if grad.abs() <= self.config.eta {
-                break;
-            }
-            // Ascent direction Δr = ∇U(r); backtrack until the Armijo
-            // condition U(r + εΔr) > U(r) + α·ε·∇U(r)·Δr holds.
-            let delta = grad;
-            let mut eps = 1.0;
-            let current = f(r);
-            let mut accepted = false;
-            for _ in 0..60 {
-                let candidate = (r + eps * delta).clamp(lo, hi);
-                if f(candidate) > current + self.config.alpha * eps * grad * delta {
-                    r = candidate;
-                    accepted = true;
-                    break;
-                }
-                eps *= self.config.xi;
-            }
-            if !accepted {
-                break;
-            }
-        }
-        failure.into_inner().map_or(Ok(r.clamp(lo, hi)), Err)
-    }
-}
-
-/// The objective the continuous tail searches maximize. An infinite
-/// expectation ([`ChronosError::InconsistentParameters`]) is an unboundedly
-/// bad point and reads as `−∞`. Any other error also reads as `−∞`, and the
-/// first one is kept in `failure` for the search to return.
-fn searched_utility(net: &NetUtility, r: f64, failure: &Cell<Option<ChronosError>>) -> f64 {
-    match net.utility_continuous(r) {
-        Ok(utility) => utility,
-        Err(ChronosError::InconsistentParameters { .. }) => f64::NEG_INFINITY,
-        Err(err) => {
-            let first = failure.take().unwrap_or(err);
-            failure.set(Some(first));
-            f64::NEG_INFINITY
-        }
-    }
 }
 
 #[cfg(test)]
@@ -428,18 +290,8 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        let mut cfg = OptimizerConfig::default();
-        assert!(cfg.validate().is_ok());
-        cfg.eta = 0.0;
-        assert!(cfg.validate().is_err());
-        cfg = OptimizerConfig::default();
-        cfg.alpha = 1.5;
-        assert!(cfg.validate().is_err());
-        cfg = OptimizerConfig::default();
-        cfg.xi = 0.0;
-        assert!(cfg.validate().is_err());
-        cfg = OptimizerConfig::default();
-        cfg.r_max = 0;
+        assert!(OptimizerConfig::default().validate().is_ok());
+        let cfg = OptimizerConfig { r_max: 0 };
         assert!(cfg.validate().is_err());
         assert!(Optimizer::with_config(UtilityModel::default(), cfg).is_err());
     }
@@ -449,26 +301,36 @@ mod tests {
         let objective = UtilityModel::new(1e-4, 0.0).unwrap();
         let optimizer = Optimizer::new(objective);
         for params in strategies() {
-            let hybrid = optimizer.optimize(&job(), &params).unwrap();
-            let exhaustive = optimizer.optimize_exhaustive(&job(), &params).unwrap();
-            assert_eq!(hybrid.r, exhaustive.r, "{:?}", params.kind());
-            assert!((hybrid.utility - exhaustive.utility).abs() < 1e-9);
+            // The walk reuses the PoCD and machine time it computed at the
+            // optimum; the reference recomputes them. They agree bit for bit.
+            assert_eq!(
+                optimizer.optimize(&job(), &params).unwrap(),
+                optimizer.optimize_exhaustive(&job(), &params).unwrap(),
+                "{:?}",
+                params.kind()
+            );
         }
     }
 
     #[test]
-    fn gradient_backend_matches_exhaustive() {
-        let objective = UtilityModel::new(1e-4, 0.0).unwrap();
-        let config = OptimizerConfig {
-            method: SearchMethod::GradientAscent,
-            ..OptimizerConfig::default()
-        };
-        let optimizer = Optimizer::with_config(objective, config).unwrap();
-        for params in strategies() {
-            let hybrid = optimizer.optimize(&job(), &params).unwrap();
-            let exhaustive = optimizer.optimize_exhaustive(&job(), &params).unwrap();
-            assert_eq!(hybrid.r, exhaustive.r, "{:?}", params.kind());
-        }
+    fn walk_reaches_a_floor_cleared_only_deep_in_the_tail() {
+        // ⌈Γ⌉ = 16, but R(r) > R_min = 0.99 only from r = 48 and U keeps
+        // rising to r_max. A continuous search bracketed from ⌈Γ⌉ saw only
+        // −∞ and reported the job infeasible.
+        let job = JobProfile::builder()
+            .tasks(10)
+            .t_min(1.0)
+            .beta(1.5)
+            .deadline(1.1)
+            .price(1.0)
+            .build()
+            .unwrap();
+        let params = StrategyParams::clone_strategy(0.22);
+        let optimizer = Optimizer::new(UtilityModel::new(1e-4, 0.99).unwrap());
+        let walk = optimizer.optimize(&job, &params).unwrap();
+        assert_eq!(walk, optimizer.optimize_exhaustive(&job, &params).unwrap());
+        assert_eq!(walk.r, 64);
+        assert!((walk.utility - -2.05703).abs() < 1e-5, "{}", walk.utility);
     }
 
     #[test]
@@ -552,10 +414,7 @@ mod tests {
     fn infeasible_floor_reported() {
         // R_min practically 1.0 cannot be met with r ≤ 2.
         let objective = UtilityModel::new(1e-4, 0.999_999).unwrap();
-        let config = OptimizerConfig {
-            r_max: 1,
-            ..OptimizerConfig::default()
-        };
+        let config = OptimizerConfig { r_max: 1 };
         let optimizer = Optimizer::with_config(objective, config).unwrap();
         let tight = JobProfile::builder()
             .tasks(50)
@@ -603,42 +462,30 @@ mod tests {
             .build()
             .unwrap();
         let params = StrategyParams::restart(1e6 - 2.0, 1e6 - 1.0).unwrap();
-        let objective = UtilityModel::new(1e-4, 0.0).unwrap();
-        let net = objective.for_job(&job, &params).unwrap();
-        let failure = Cell::new(None);
-        assert_eq!(searched_utility(&net, 1.5, &failure), f64::NEG_INFINITY);
-        assert!(matches!(
-            failure.take(),
-            Some(ChronosError::NumericalFailure { .. })
-        ));
-        for method in [SearchMethod::GoldenSection, SearchMethod::GradientAscent] {
-            let config = OptimizerConfig {
-                method,
-                ..OptimizerConfig::default()
-            };
-            let optimizer = Optimizer::with_config(objective, config).unwrap();
-            let peak = match method {
-                SearchMethod::GoldenSection => optimizer.golden_peak(&net, 0.0, 4.0),
-                SearchMethod::GradientAscent => optimizer.gradient_peak(&net, 0.0, 4.0),
-            };
-            assert!(
-                matches!(peak, Err(ChronosError::NumericalFailure { .. })),
-                "{method:?}: {peak:?}"
-            );
-        }
+        let optimizer = Optimizer::new(UtilityModel::new(1e-4, 0.0).unwrap());
+        let err = optimizer.optimize(&job, &params).unwrap_err();
+        assert!(
+            matches!(err, ChronosError::NumericalFailure { .. }),
+            "{err:?}"
+        );
 
-        // An infinite expectation is an unboundedly bad point, not a failure.
+        // An infinite expectation is reported as such, as the reference does.
         let heavy = JobProfile::builder()
             .beta(0.8)
             .t_min(20.0)
             .deadline(100.0)
             .build()
             .unwrap();
-        let net = objective
-            .for_job(&heavy, &StrategyParams::clone_strategy(80.0))
-            .unwrap();
-        assert_eq!(searched_utility(&net, 0.1, &failure), f64::NEG_INFINITY);
-        assert!(failure.take().is_none());
+        let clone = StrategyParams::clone_strategy(80.0);
+        for result in [
+            optimizer.optimize(&heavy, &clone),
+            optimizer.optimize_exhaustive(&heavy, &clone),
+        ] {
+            assert!(
+                matches!(result, Err(ChronosError::InconsistentParameters { .. })),
+                "{result:?}"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub use crate::cost::CostModel;
 pub use crate::error::ChronosError;
 pub use crate::frontier::{Frontier, FrontierPoint};
 pub use crate::job::{JobProfile, JobProfileBuilder};
-pub use crate::optimizer::{OptimizationOutcome, Optimizer, OptimizerConfig, SearchMethod};
+pub use crate::optimizer::{OptimizationOutcome, Optimizer, OptimizerConfig};
 pub use crate::pareto::Pareto;
 pub use crate::pocd::{compare_pocd, Dominance, PocdModel};
 pub use crate::strategy::{StrategyKind, StrategyParams};

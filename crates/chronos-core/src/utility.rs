@@ -126,6 +126,15 @@ impl Default for UtilityModel {
     }
 }
 
+/// One feasible point of the objective: the net utility at some `r` and the
+/// PoCD and expected job machine time it was computed from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Point {
+    pub(crate) utility: f64,
+    pub(crate) pocd: f64,
+    pub(crate) machine_time: f64,
+}
+
 /// The net-utility objective bound to one job and one strategy, ready to be
 /// evaluated or optimized over `r`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -168,22 +177,33 @@ impl NetUtility {
         self.utility_continuous(f64::from(r))
     }
 
-    /// Net utility on the continuous relaxation of `r`, used by the
-    /// line-search phase of Algorithm 1.
+    /// Net utility on the continuous relaxation of `r`; [`utility`](Self::utility)
+    /// is this at integer `r`.
     ///
     /// # Errors
     ///
     /// Propagates cost-model failures (infinite expectations, numerical
     /// failures).
     pub fn utility_continuous(&self, r: f64) -> Result<f64, ChronosError> {
+        Ok(self.evaluate(r)?.map_or(f64::NEG_INFINITY, |p| p.utility))
+    }
+
+    /// The utility at `r` together with the PoCD and machine time it was
+    /// computed from, or `None` when `R(r) ≤ R_min` (utility `−∞`), where
+    /// the cost is never evaluated.
+    pub(crate) fn evaluate(&self, r: f64) -> Result<Option<Point>, ChronosError> {
         let pocd = self.pocd.pocd_continuous(r);
         let margin = pocd - self.objective.r_min;
         if margin <= 0.0 {
-            return Ok(f64::NEG_INFINITY);
+            return Ok(None);
         }
         let machine_time = self.cost.expected_job_machine_time(r)?;
         let price = self.pocd.job().price();
-        Ok(margin.log10() - self.objective.theta * price * machine_time)
+        Ok(Some(Point {
+            utility: margin.log10() - self.objective.theta * price * machine_time,
+            pocd,
+            machine_time,
+        }))
     }
 
     /// PoCD at an integer `r` (Theorems 1/3/5).

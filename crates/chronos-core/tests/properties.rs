@@ -62,6 +62,48 @@ fn trace_like_job_and_timing() -> impl Strategy<Value = (JobProfile, f64, f64)> 
         })
 }
 
+/// Edge-of-domain generator: tails barely lighter than infinite-mean
+/// (β ∈ (1, 1.01]), deadlines barely past t_min (D/t_min ∈ (1, 1.01]), up
+/// to 10^7 tasks and prices in [0, 1e-9]. The task count and both margins
+/// are drawn log-uniformly so every decade is covered.
+fn edge_job_and_timing() -> impl Strategy<Value = (JobProfile, f64, f64, f64)> {
+    (
+        (
+            0.0f64..=7.0,   // log10 tasks
+            1.0f64..500.0,  // t_min
+            -9.0f64..=-2.0, // log10(β − 1)
+            -9.0f64..=-2.0, // log10(D/t_min − 1)
+            0.0f64..=1e-9,  // price
+        ),
+        (
+            0.0f64..0.95,  // tau_est as fraction of D − t_min
+            0.05f64..0.95, // tau_kill as fraction of D − tau_est
+            0.1f64..0.9,   // phi_est
+        ),
+    )
+        .prop_map(
+            |((tasks_exp, t_min, beta_exp, slack_exp, price), (est_frac, kill_frac, phi))| {
+                let deadline = t_min * (1.0 + 10f64.powf(slack_exp));
+                let job = JobProfile::builder()
+                    .tasks(10f64.powf(tasks_exp).round() as u32)
+                    .t_min(t_min)
+                    .beta(1.0 + 10f64.powf(beta_exp))
+                    .deadline(deadline)
+                    .price(price)
+                    .build()
+                    .expect("generated job parameters are valid");
+                // A reactive copy launched at τ_est can still finish by D.
+                let tau_est = est_frac * (deadline - t_min);
+                (
+                    job,
+                    tau_est,
+                    tau_est + kill_frac * (deadline - tau_est),
+                    phi,
+                )
+            },
+        )
+}
+
 fn all_strategies(tau_est: f64, tau_kill: f64, phi: f64) -> Vec<StrategyParams> {
     vec![
         StrategyParams::clone_strategy(tau_kill),
@@ -177,30 +219,42 @@ proptest! {
     }
 
     /// Theorem 9: the hybrid optimizer (Algorithm 1) returns the same
-    /// optimum as exhaustive search, for every strategy and a range of θ.
+    /// optimum as exhaustive search, for every strategy, a range of θ and a
+    /// PoCD floor that is either off or anywhere in [0.5, 0.99]. A floor can
+    /// leave every r ≤ r_max infeasible; then both searches must say so.
     #[test]
     fn algorithm1_is_globally_optimal(
         (job, tau_est, tau_kill, phi) in job_and_timing(),
         theta_exp in -6.0f64..-2.0,
+        r_min in (0u8..4, 0.5f64..=0.99)
+            .prop_map(|(pick, floor)| if pick == 0 { 0.0 } else { floor }),
     ) {
         let theta = 10f64.powf(theta_exp);
-        let optimizer = Optimizer::new(UtilityModel::new(theta, 0.0).unwrap());
+        let optimizer = Optimizer::new(UtilityModel::new(theta, r_min).unwrap());
         for params in all_strategies(tau_est, tau_kill, phi) {
-            let hybrid = optimizer.optimize(&job, &params).unwrap();
-            let exhaustive = optimizer.optimize_exhaustive(&job, &params).unwrap();
-            // Ties on utility can legitimately resolve to different r.
-            prop_assert!(
-                (hybrid.utility - exhaustive.utility).abs() < 1e-9,
-                "{:?}: hybrid r={} u={} vs exhaustive r={} u={}",
-                params.kind(), hybrid.r, hybrid.utility, exhaustive.r, exhaustive.utility
-            );
+            match (optimizer.optimize(&job, &params), optimizer.optimize_exhaustive(&job, &params)) {
+                // Ties on utility can legitimately resolve to different r.
+                (Ok(hybrid), Ok(exhaustive)) => prop_assert!(
+                    (hybrid.utility - exhaustive.utility).abs() < 1e-9,
+                    "{:?} r_min {}: hybrid r={} u={} vs exhaustive r={} u={}",
+                    params.kind(), r_min, hybrid.r, hybrid.utility, exhaustive.r,
+                    exhaustive.utility
+                ),
+                (Err(ChronosError::Infeasible { .. }), Err(ChronosError::Infeasible { .. })) => {}
+                (hybrid, exhaustive) => prop_assert!(
+                    false,
+                    "{:?} r_min {}: hybrid {:?} vs exhaustive {:?}",
+                    params.kind(), r_min, hybrid, exhaustive
+                ),
+            }
         }
     }
 
     /// On trace-like profiles the S-Restart machine time is finite at every
     /// r the optimizer may visit, and Algorithm 1 still finds the exhaustive
     /// optimum (large βr used to overflow segment 1 of Theorem 4 to NaN,
-    /// which sent the golden-section search to r_max).
+    /// which sent the continuous tail search Algorithm 1 used then to
+    /// r_max).
     #[test]
     fn algorithm1_is_globally_optimal_on_trace_like_profiles(
         (job, tau_est, tau_kill) in trace_like_job_and_timing(),
@@ -227,6 +281,49 @@ proptest! {
             (Err(ChronosError::Infeasible { .. }), Err(ChronosError::Infeasible { .. })) => {}
             (hybrid, exhaustive) => {
                 prop_assert!(false, "hybrid {:?} vs exhaustive {:?}", hybrid, exhaustive);
+            }
+        }
+    }
+
+    /// At the edge of the parameter space (see [`edge_job_and_timing`]) with
+    /// θ = 0, Algorithm 1 returns either an outcome whose every field is
+    /// finite or a typed error, and it agrees with the exhaustive search:
+    /// same utility, or the same error. Optimality beyond about 10^7 tasks
+    /// is not asserted: there `(1−q)^N` becomes an f64 staircase in `r`,
+    /// flat stretches and jumps that break Theorem 8's concavity, and both
+    /// the integer walk and the continuous search it replaced then miss the
+    /// exhaustive optimum.
+    #[test]
+    fn algorithm1_survives_the_edge_of_the_domain(
+        (job, tau_est, tau_kill, phi) in edge_job_and_timing(),
+    ) {
+        let optimizer = Optimizer::new(UtilityModel::new(0.0, 0.0).unwrap());
+        for params in all_strategies(tau_est, tau_kill, phi) {
+            match (optimizer.optimize(&job, &params), optimizer.optimize_exhaustive(&job, &params)) {
+                (Ok(walk), Ok(exhaustive)) => {
+                    prop_assert!(
+                        [walk.utility, walk.pocd, walk.machine_time, walk.dollar_cost]
+                            .iter()
+                            .all(|v| v.is_finite()),
+                        "{:?} on {:?}: {:?}", params.kind(), job, walk
+                    );
+                    prop_assert!(
+                        (walk.utility - exhaustive.utility).abs() < 1e-9,
+                        "{:?} on {:?}: walk r={} u={} vs exhaustive r={} u={}",
+                        params.kind(), job, walk.r, walk.utility, exhaustive.r,
+                        exhaustive.utility
+                    );
+                }
+                (Err(walk), Err(exhaustive)) => prop_assert!(
+                    std::mem::discriminant(&walk) == std::mem::discriminant(&exhaustive),
+                    "{:?} on {:?}: walk {:?} vs exhaustive {:?}",
+                    params.kind(), job, walk, exhaustive
+                ),
+                (walk, exhaustive) => prop_assert!(
+                    false,
+                    "{:?} on {:?}: walk {:?} vs exhaustive {:?}",
+                    params.kind(), job, walk, exhaustive
+                ),
             }
         }
     }

@@ -11,7 +11,6 @@
 //! constructor input is validated by `chronos-core` before a key can be
 //! built.
 
-use chronos_core::optimizer::SearchMethod;
 use chronos_core::{JobProfile, OptimizerConfig, StrategyKind, StrategyParams, UtilityModel};
 
 /// The IEEE-754 bit pattern of `x`, with both zeros collapsed to `+0.0`.
@@ -82,14 +81,6 @@ fn kind_tag(kind: StrategyKind) -> u8 {
     }
 }
 
-/// Stable small discriminant of a [`SearchMethod`].
-fn method_tag(method: SearchMethod) -> u8 {
-    match method {
-        SearchMethod::GoldenSection => 0,
-        SearchMethod::GradientAscent => 1,
-    }
-}
-
 /// Canonical key of one optimization problem: job profile, strategy
 /// parameters, objective and optimizer configuration, with every `f64`
 /// canonicalized by [`canonical_f64_bits`].
@@ -107,10 +98,6 @@ pub struct ProfileKey {
     phi_est: u64,
     theta: u64,
     r_min: u64,
-    method: u8,
-    eta: u64,
-    alpha: u64,
-    xi: u64,
     r_max: u32,
 }
 
@@ -131,10 +118,6 @@ impl ProfileKey {
             phi_est: canonical_f64_bits(params.phi_est()),
             theta: canonical_f64_bits(objective.theta()),
             r_min: canonical_f64_bits(objective.r_min()),
-            method: method_tag(config.method),
-            eta: canonical_f64_bits(config.eta),
-            alpha: canonical_f64_bits(config.alpha),
-            xi: canonical_f64_bits(config.xi),
             r_max: config.r_max,
         }
     }

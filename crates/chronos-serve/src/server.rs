@@ -867,9 +867,9 @@ mod tests {
     #[test]
     fn start_rejects_a_broken_optimizer_config() {
         let mut config = ServeConfig::new(1, 8);
-        config.policy.optimizer.eta = 0.0;
+        config.policy.optimizer.r_max = 0;
         let err = PlanServer::start(config).unwrap_err();
-        assert!(matches!(err, ServeError::InvalidConfig(ref why) if why.contains("eta")));
+        assert!(matches!(err, ServeError::InvalidConfig(ref why) if why.contains("r_max")));
     }
 
     #[test]

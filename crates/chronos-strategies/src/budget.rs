@@ -490,7 +490,7 @@ mod tests {
     #[test]
     fn invalid_config_is_rejected_at_build_time() {
         let mut config = ChronosPolicyConfig::testbed();
-        config.optimizer.eta = 0.0;
+        config.optimizer.r_max = 0;
         let err = PolicyBuilder::new(config)
             .budgeted(SpeculationBudget::Limited(2))
             .build(PolicyKind::Clone)

@@ -648,12 +648,12 @@ mod tests {
     #[test]
     fn broken_optimizer_config_reproduces_the_validation_error() {
         let mut cfg = ChronosPolicyConfig::testbed();
-        cfg.optimizer.eta = 0.0;
+        cfg.optimizer.r_max = 0;
         let planner = PolicyPlanner::new(cfg);
         let err = planner
             .try_plan(&submit_view(100.0), StrategyKind::Clone)
             .unwrap_err();
-        assert!(err.to_string().contains("eta"), "{err}");
+        assert!(err.to_string().contains("r_max"), "{err}");
         assert!(err.to_string().contains("planning job-0"), "{err}");
         // And the fallback applies, as on the legacy path.
         assert_eq!(

@@ -4,10 +4,15 @@
 //! the sharded replay path, where many worker threads look up mostly-equal
 //! keys concurrently:
 //!
-//! * **Lock striping.** Keys are distributed over independently locked
-//!   stripes (by a deterministic hash), so lookups of different profiles
-//!   rarely contend. Each stripe's lock is held only for the map operation,
-//!   never while a plan is being solved.
+//! * **Lock striping.** Keys are spread over independently locked stripes
+//!   by the high bits of a cheap, deterministic multiply-rotate fold of
+//!   the key's integer fields, so a bounded cache lays out (and evicts)
+//!   alike in every process. A stripe's lock covers the map operation and
+//!   the copy out of a solved entry, never a solve.
+//! * **Keyed maps.** Each stripe's `HashMap` keeps the per-process random
+//!   hasher: keys come from callers, and an unkeyed hash would let crafted
+//!   profiles pile into one bucket chain. The fold only picks among a
+//!   fixed set of stripes, where the worst case is one shared lock.
 //! * **Single-flight solves.** Each entry is a [`OnceLock`] slot: the first
 //!   thread to request a key inserts the slot and solves into it; any other
 //!   thread requesting the same key — even while the solve is still running
@@ -26,11 +31,33 @@
 use crate::key::ProfileKey;
 use crate::planner::PlanResult;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// The stripe picker: one rotate-xor-multiply round (by an odd constant)
+/// per integer field the derived `Hash` feeds it, so the **high** bits are
+/// well mixed. Deterministic and unkeyed: it picks stripes, never buckets.
+struct StripeFold(u64);
+
+impl Hasher for StripeFold {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&byte| self.write_u64(byte.into()));
+    }
+
+    fn write_u32(&mut self, field: u32) {
+        self.write_u64(field.into());
+    }
+
+    fn write_u64(&mut self, field: u64) {
+        self.0 = (self.0.rotate_left(5) ^ field).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 /// A single-flight entry: solved at most once, shared by all requesters.
 type Slot = Arc<OnceLock<PlanResult>>;
@@ -282,14 +309,11 @@ impl PlanCache {
     /// one with the largest footprint — negative-cached errors carry their
     /// message bytes, so they go before same-aged fixed-size plans. Equal
     /// footprints tie-break toward the smallest key. Hot profiles therefore
-    /// stay resident under skewed request streams — unlike the earlier
-    /// smallest-key victim choice, which evicted an arbitrary resident and
-    /// could thrash on precisely the profiles a skewed stream re-requests.
-    /// The choice is still deterministic (it depends only on the stripe's
-    /// hit/insert sequence and the entries' contents, never on the map's
-    /// per-process hash seed), so single-threaded workloads replay their
-    /// eviction sequence exactly; the `evictions` counter records each
-    /// removal. Note that under eviction the hit/miss counts of a
+    /// stay resident under skewed request streams. The choice depends only
+    /// on the keys, the stripe's hit/insert sequence and the entries'
+    /// contents, never on a map's per-process hash seed, so single-threaded
+    /// workloads replay their eviction sequence exactly; the `evictions`
+    /// counter records each removal. Note that under eviction the hit/miss counts of a
     /// *concurrent* workload are no longer scheduling-independent —
     /// production replays should size the capacity above the distinct
     /// profile count (or leave it unbounded, the default).
@@ -307,14 +331,13 @@ impl PlanCache {
     }
 
     fn stripe_of(&self, key: &ProfileKey) -> &Mutex<Stripe> {
-        // DefaultHasher with default keys is deterministic, so the stripe
-        // layout does not change from run to run. (The stripe *maps* still
-        // use HashMap's per-process random state, which is why eviction
-        // scans the explicit insertion-order FIFO, never iteration order.)
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        let index = (hasher.finish() % self.stripes.len() as u64) as usize;
-        &self.stripes[index]
+        // The high word of fold × stripes: the fold's well-mixed high bits.
+        // The maps keep a per-process random state (module docs), which is
+        // why eviction scans the insertion-order FIFO, never the map.
+        let mut fold = StripeFold(0);
+        key.hash(&mut fold);
+        let index = (u128::from(fold.finish()) * self.stripes.len() as u128) >> 64;
+        &self.stripes[index as usize]
     }
 
     /// Records `count` requests that were served by a batch's in-flight
@@ -342,6 +365,11 @@ impl PlanCache {
                 // Second-chance bookkeeping: a hit marks the entry so the
                 // next eviction scan spares it once.
                 resident.referenced = true;
+                // A solved entry is copied out under the lock; only an
+                // in-flight one needs its slot, to wait outside the lock.
+                if let Some(result) = resident.slot.get() {
+                    return result.clone();
+                }
                 Arc::clone(&resident.slot)
             } else {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -617,6 +645,41 @@ mod tests {
         );
         assert!(cache.peek(&key(120.0)).is_some());
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn stripes_and_eviction_depend_only_on_the_keys() {
+        // Every map draws its own random hasher state, yet two bounded
+        // caches fed one stream (every third request re-hits one of 20 hot
+        // profiles) must evict the same entries: the stripe and the victim
+        // are functions of the keys and the request order alone.
+        let stream = (0..500u32).map(|step| match step % 3 {
+            0 => 100.0 + f64::from(step / 3 % 20),
+            _ => 200.0 + f64::from(step),
+        });
+        let caches = [0, 1].map(|_| PlanCache::new().with_capacity_limit(64));
+        for deadline in stream.clone() {
+            for cache in &caches {
+                cache.get_or_compute(key(deadline), || plan(1)).unwrap();
+            }
+        }
+        let stats = caches[0].stats();
+        assert!(stats.evictions > 0 && stats.hits > 0, "{stats}");
+        assert_eq!(stats, caches[1].stats());
+        for deadline in stream {
+            let resident = caches.each_ref().map(|cache| cache.peek(&key(deadline)));
+            assert_eq!(resident[0], resident[1], "deadline {deadline}");
+        }
+
+        // The fold spreads 1,024 distinct keys over all 16 stripes, none
+        // holding more than twice the mean.
+        let cache = PlanCache::new();
+        for id in 0..1_024u32 {
+            let _ = cache.get_or_compute(key(100.0 + f64::from(id)), || plan(1));
+        }
+        let loads = cache.stripes.iter().map(|s| s.lock().unwrap().map.len());
+        let loads: Vec<usize> = loads.collect();
+        assert!(loads.iter().all(|n| (1..=128).contains(n)), "{loads:?}");
     }
 
     #[test]

@@ -3,8 +3,7 @@
 use crate::cache::{CacheStats, PlanCache};
 use crate::key::ProfileKey;
 use chronos_core::{
-    ChronosError, JobProfile, OptimizationOutcome, Optimizer, OptimizerConfig, StrategyParams,
-    UtilityModel,
+    ChronosError, JobProfile, OptimizationOutcome, Optimizer, StrategyParams, UtilityModel,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -106,21 +105,6 @@ impl Planner {
     #[must_use]
     pub fn new(objective: UtilityModel) -> Self {
         Planner::from_optimizer(Optimizer::new(objective))
-    }
-
-    /// A planner with an explicit optimizer configuration and a fresh
-    /// private cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `OptimizerConfig` validation failures.
-    pub fn with_config(
-        objective: UtilityModel,
-        config: OptimizerConfig,
-    ) -> Result<Self, ChronosError> {
-        Ok(Planner::from_optimizer(Optimizer::with_config(
-            objective, config,
-        )?))
     }
 
     /// Wraps an existing optimizer with a fresh private cache.

@@ -37,8 +37,9 @@
 //! * **Planning.** Each worker runs the policy front-end from
 //!   `chronos-strategies` over the shared single-flight `PlanCache`
 //!   (every distinct job profile is solved once per server, whichever
-//!   worker gets there first), with a small worker-local memo layered on
-//!   top so hot profiles skip even the stripe lock. Decisions pick the
+//!   worker gets there first). That cache is the only lookup layer: each
+//!   strategy of each decision is one `PlanCache` lookup, and a hit on a
+//!   solved profile costs one stripe lock and a copy. Decisions pick the
 //!   utility-maximizing strategy across all three Chronos strategies,
 //!   with deterministic tie-breaking — the decision for a job is a pure
 //!   function of the job and the policy config, independent of worker

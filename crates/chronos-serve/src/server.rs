@@ -4,13 +4,12 @@
 use crate::queue::{BoundedQueue, PushError};
 use chronos_core::prelude::*;
 use chronos_obs::{DecisionTrace, Digest, MetricsRegistry, TraceEvent};
-use chronos_plan::{CacheStats, PlanCache, PlanResult, Planner, ProfileKey, SpeculationBudget};
+use chronos_plan::{CacheStats, PlanCache, Planner, SpeculationBudget};
 use chronos_sim::prelude::{JobId, JobSpec, JobSubmitView, LatencyHistogram};
 use chronos_strategies::prelude::{
     ChronosPolicyConfig, PolicyBuilder, PolicyPlanner, StrategyTiming,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -161,11 +160,6 @@ pub struct ServeConfig {
     pub policy: ChronosPolicyConfig,
     /// Latency measurement mode.
     pub probe: LatencyProbe,
-    /// Capacity of each worker's local plan memo (layered over the shared
-    /// cache so hot profiles skip the stripe lock entirely). The memo is
-    /// cleared wholesale when full — it is a throughput lever, not a
-    /// correctness one.
-    pub local_memo_capacity: usize,
     /// The cluster-wide speculation budget: how many extra copies the
     /// server may grant in total across its lifetime. Under
     /// [`SpeculationBudget::Limited`] every feasible decision debits its
@@ -187,8 +181,8 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A configuration with the trace-replay policy defaults (testbed
-    /// objective, trace-scaled `τ_est`/`τ_kill`), wall-clock latencies and
-    /// a reasonable local memo.
+    /// objective, trace-scaled `τ_est`/`τ_kill`), wall-clock latencies, an
+    /// unlimited budget and no decision trace.
     #[must_use]
     pub fn new(workers: u32, queue_capacity: usize) -> Self {
         ServeConfig {
@@ -196,7 +190,6 @@ impl ServeConfig {
             queue_capacity,
             policy: ChronosPolicyConfig::testbed().with_timing(StrategyTiming::trace_default()),
             probe: LatencyProbe::WallMicros,
-            local_memo_capacity: 1_024,
             budget: SpeculationBudget::Unlimited,
             decision_trace: None,
         }
@@ -357,7 +350,11 @@ struct WorkItem {
 #[derive(Debug)]
 struct ServerShared {
     queue: BoundedQueue<WorkItem>,
-    cache: Arc<PlanCache>,
+    /// Builds the per-strategy plan requests for a job.
+    requests: PolicyPlanner,
+    /// Plans each request through the shared single-flight [`PlanCache`]:
+    /// the only lookup layer on the admission path.
+    planner: Planner,
     served: AtomicU64,
     rejected: AtomicU64,
     histograms: Vec<Mutex<LatencyHistogram>>,
@@ -369,53 +366,12 @@ struct ServerShared {
     traces: Option<Vec<Mutex<DecisionTrace>>>,
 }
 
-/// The worker-side admission planner: builds the per-strategy plan
-/// requests, memoizes results in a small worker-local map layered over the
-/// shared single-flight [`PlanCache`], and picks the utility-maximizing
-/// strategy deterministically.
-struct AdmissionPlanner {
-    requests: PolicyPlanner,
-    planner: Planner,
-    memo: HashMap<ProfileKey, PlanResult>,
-    memo_capacity: usize,
-}
-
-impl AdmissionPlanner {
-    fn new(config: &ServeConfig, cache: Arc<PlanCache>) -> Result<Self, ServeError> {
-        // The same construction path the simulator's budgeted policies use
-        // (`PolicyBuilder`), so online admission and batch replay are
-        // guaranteed to run identical closed forms over the shared cache.
-        let (requests, planner) = PolicyBuilder::new(config.policy)
-            .cached(cache)
-            .admission_parts()
-            .map_err(|err| ServeError::InvalidConfig(err.to_string()))?;
-        Ok(AdmissionPlanner {
-            requests,
-            planner,
-            memo: HashMap::new(),
-            memo_capacity: config.local_memo_capacity.max(1),
-        })
-    }
-
-    fn plan(&mut self, view: &JobSubmitView, kind: StrategyKind) -> Option<PlanResult> {
-        let request = self.requests.request_for(view, kind).ok()?;
-        let key = self.planner.key_of(&request);
-        if let Some(result) = self.memo.get(&key) {
-            return Some(result.clone());
-        }
-        let result = self.planner.plan_request(&request);
-        if self.memo.len() >= self.memo_capacity {
-            self.memo.clear();
-        }
-        self.memo.insert(key, result.clone());
-        Some(result)
-    }
-
+impl ServerShared {
     /// Decides one job: every strategy in [`StrategyKind::ALL`] is planned
     /// and the highest-utility feasible one wins (strictly-greater
     /// comparison, so ties resolve to the earliest kind — deterministic
     /// regardless of which worker decides).
-    fn decide(&mut self, job: &JobSpec) -> AdmissionDecision {
+    fn decide(&self, job: &JobSpec) -> AdmissionDecision {
         let view = JobSubmitView {
             job: job.id,
             task_count: job.task_count() as u32,
@@ -425,7 +381,8 @@ impl AdmissionPlanner {
         };
         let mut best: Option<(StrategyKind, OptimizationOutcome)> = None;
         for kind in StrategyKind::ALL {
-            let Some(Ok(plan)) = self.plan(&view, kind) else {
+            let request = self.requests.request_for(&view, kind);
+            let Ok(Ok(plan)) = request.map(|request| self.planner.plan_request(&request)) else {
                 continue;
             };
             let better = match &best {
@@ -500,14 +457,19 @@ impl PlanServer {
                 "queue_capacity: must be at least 1".to_string(),
             ));
         }
-        // Validate the optimizer configuration up front: a broken config
-        // should fail startup loudly, not turn every decision infeasible.
-        PolicyBuilder::new(config.policy)
+        // The same construction path the simulator's budgeted policies use
+        // (`PolicyBuilder`), so online admission and batch replay run
+        // identical closed forms over the shared cache. It also validates
+        // the optimizer configuration: a broken config fails startup
+        // loudly instead of turning every decision infeasible.
+        let (requests, planner) = PolicyBuilder::new(config.policy)
+            .cached(cache)
             .admission_parts()
             .map_err(|err| ServeError::InvalidConfig(err.to_string()))?;
         let shared = Arc::new(ServerShared {
             queue: BoundedQueue::new(config.queue_capacity),
-            cache,
+            requests,
+            planner,
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             histograms: (0..config.workers)
@@ -549,7 +511,7 @@ impl PlanServer {
     /// The shared plan cache backing every worker.
     #[must_use]
     pub fn cache(&self) -> &Arc<PlanCache> {
-        &self.shared.cache
+        self.shared.planner.cache()
     }
 
     /// Submits a batch of requests. The whole batch is admitted or
@@ -628,10 +590,7 @@ impl PlanServer {
     /// statistics. No accepted request is dropped.
     #[must_use]
     pub fn shutdown(mut self) -> ServerStats {
-        self.shared.queue.close();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        self.close_and_join();
         collect_stats(&self.shared)
     }
 
@@ -643,10 +602,7 @@ impl PlanServer {
     /// trace when [`ServeConfig::decision_trace`] was off.
     #[must_use]
     pub fn shutdown_with_trace(mut self) -> (ServerStats, DecisionTrace) {
-        self.shared.queue.close();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        self.close_and_join();
         let stats = collect_stats(&self.shared);
         let mut merged = DecisionTrace::new();
         if let Some(traces) = &self.shared.traces {
@@ -674,6 +630,14 @@ impl PlanServer {
         self.stats().export_metrics(&mut registry);
         registry
     }
+
+    /// Closes the queue and joins the workers once they have drained it.
+    fn close_and_join(&mut self) {
+        self.shared.queue.close();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
 }
 
 impl Drop for PlanServer {
@@ -681,10 +645,7 @@ impl Drop for PlanServer {
     /// and joins — abandoned worker threads would outlive the process's
     /// expectations otherwise.
     fn drop(&mut self) {
-        self.shared.queue.close();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        self.close_and_join();
     }
 }
 
@@ -699,13 +660,11 @@ fn collect_stats(shared: &ServerShared) -> ServerStats {
         served: shared.served.load(Ordering::Relaxed),
         rejected: shared.rejected.load(Ordering::Relaxed),
         latency,
-        cache: shared.cache.stats(),
+        cache: shared.planner.stats(),
     }
 }
 
 fn worker_loop(shared: &ServerShared, index: usize, config: &ServeConfig) {
-    let mut planner = AdmissionPlanner::new(config, Arc::clone(&shared.cache))
-        .expect("config was validated at startup");
     loop {
         let items = shared.queue.pop_many(POP_BATCH);
         if items.is_empty() {
@@ -713,7 +672,7 @@ fn worker_loop(shared: &ServerShared, index: usize, config: &ServeConfig) {
             return;
         }
         for item in items {
-            let mut decision = planner.decide(&item.request.job);
+            let mut decision = shared.decide(&item.request.job);
             if let Some(remaining) = &shared.budget_remaining {
                 decision = debit_budget(remaining, decision);
             }
@@ -761,39 +720,18 @@ fn worker_loop(shared: &ServerShared, index: usize, config: &ServeConfig) {
 /// cost nothing — reports the tokens left after its debit.
 fn debit_budget(remaining: &AtomicU64, decision: AdmissionDecision) -> AdmissionDecision {
     let cost = u64::from(decision.copies);
-    let mut current = remaining.load(Ordering::Relaxed);
-    loop {
-        if cost == 0 {
-            return AdmissionDecision {
-                remaining_budget: Some(current),
-                ..decision
-            };
-        }
-        if current < cost {
-            return AdmissionDecision {
-                strategy: None,
-                copies: 0,
-                pocd: 0.0,
-                dollar_cost: 0.0,
-                utility: 0.0,
-                remaining_budget: Some(current),
-                ..decision
-            };
-        }
-        match remaining.compare_exchange_weak(
-            current,
-            current - cost,
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => {
-                return AdmissionDecision {
-                    remaining_budget: Some(current - cost),
-                    ..decision
-                }
-            }
-            Err(observed) => current = observed,
-        }
+    match remaining.fetch_update(Ordering::AcqRel, Ordering::Relaxed, |tokens| {
+        tokens.checked_sub(cost)
+    }) {
+        Ok(before) => AdmissionDecision {
+            remaining_budget: Some(before - cost),
+            ..decision
+        },
+        Err(left) => AdmissionDecision {
+            feasible: true,
+            remaining_budget: Some(left),
+            ..AdmissionDecision::infeasible()
+        },
     }
 }
 
@@ -874,7 +812,7 @@ mod tests {
 
     #[test]
     fn serves_a_batch_and_decides_deterministically() {
-        let server = PlanServer::start(ServeConfig::new(2, 16)).unwrap();
+        let server = PlanServer::start(ServeConfig::new(1, 16)).unwrap();
         let ticket = server
             .submit((0..8).map(|i| request(i, 100.0)).collect())
             .unwrap();
@@ -895,9 +833,12 @@ mod tests {
         assert_eq!(stats.served, 8);
         assert_eq!(stats.rejected, 0);
         assert_eq!(stats.latency.total(), 8);
-        // Three strategies planned for one distinct profile: three solves,
-        // everything else came from a cache or memo layer.
-        assert!(stats.cache.misses <= 3);
+        // Each decision plans all three strategies, and every one of those
+        // lookups reaches the shared cache exactly once: one miss (solve)
+        // per strategy for the single distinct profile, and the other
+        // 8 × 3 − 3 lookups are hits. No other lookup layer sits in front.
+        assert_eq!(stats.cache.misses, 3);
+        assert_eq!(stats.cache.hits, 21);
     }
 
     #[test]

@@ -313,10 +313,11 @@ impl PlanCache {
     /// on the keys, the stripe's hit/insert sequence and the entries'
     /// contents, never on a map's per-process hash seed, so single-threaded
     /// workloads replay their eviction sequence exactly; the `evictions`
-    /// counter records each removal. Note that under eviction the hit/miss counts of a
-    /// *concurrent* workload are no longer scheduling-independent —
-    /// production replays should size the capacity above the distinct
-    /// profile count (or leave it unbounded, the default).
+    /// counter records each removal. Note that under eviction the hit/miss
+    /// counts of a *concurrent* workload are no longer
+    /// scheduling-independent — production replays should size the capacity
+    /// above the distinct profile count (or leave it unbounded, the
+    /// default).
     #[must_use]
     pub fn with_capacity_limit(mut self, capacity: usize) -> Self {
         let per_stripe = capacity.div_ceil(self.stripes.len()).max(1);

@@ -67,7 +67,7 @@ grep -q "decisions digest: $DIGEST" "$WORK/serve_w1.txt"
 
 # budget-smoke: the budgeted s-restart allocation digest and report must
 # not depend on the worker count. The digest is taken from the 8-worker run
-# (grant values are pinned by unit tests and bench_baseline).
+# (grant values are pinned by unit tests and tests/pinned_workload.rs).
 echo "== budget-smoke =="
 "$TT" replay --trace "$GOLDEN" --policy s-restart --budget 2 --workers 8 --out "$WORK/budget_w8.json" | tee "$WORK/budget_w8.txt"
 DIGEST=$(grep -o 'allocation digest: [0-9a-f]*' "$WORK/budget_w8.txt" | cut -d' ' -f3)

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! Chronos paper's evaluation (Section VII), plus Criterion micro-benchmarks
-//! for the optimizer, the analysis closed forms, the estimators and the
-//! simulator.
+//! for the optimizer, the analysis closed forms and the estimators. End-to-end
+//! and per-layer timing lives in the separate `perfbench` package.
 //!
 //! Each binary prints the rows of the corresponding paper artifact and
 //! writes a JSON copy under `results/`:
@@ -168,10 +168,9 @@ pub const SHARDED_BENCH_SHARDS: u32 = 16;
 /// Tasks per job of the sharded benchmark workload.
 pub const SHARDED_BENCH_TASKS_PER_JOB: u32 = 4;
 
-/// The chunked workload both the `throughput` Criterion bench and the
-/// `bench_baseline` recorder measure. Sharing one definition is what keeps
-/// the checked-in `bench_baseline.json` numbers comparable to the bench
-/// output — scale only via `jobs`, never by editing one copy.
+/// The chunked Sort workload whose counters and digests
+/// `tests/pinned_workload.rs` pins on every execution path. Scale it only
+/// via `jobs`: the pinned literals hold for this exact shape.
 #[must_use]
 pub fn sharded_bench_stream(jobs: u32) -> WorkloadStream {
     let mut workload =
@@ -314,9 +313,8 @@ pub fn sharded_bench_chunk_size(jobs: u32) -> u32 {
 
 /// Writes the [`sharded_bench_stream`] workload to `path` as a
 /// `chronos-trace` v1 file, streaming chunk by chunk (the full spec list is
-/// never materialized). Shared by the `throughput` Criterion bench and the
-/// `bench_baseline` recorder so their replay numbers measure the same
-/// bytes.
+/// never materialized), so a file replay can be compared to the in-memory
+/// run.
 ///
 /// # Errors
 ///
@@ -332,8 +330,8 @@ pub fn write_sharded_bench_trace(path: &Path, jobs: u32) -> Result<(), TraceWrit
 
 /// Replays a trace file written by [`write_sharded_bench_trace`] through
 /// `ShardedRunner::run` under [`sharded_bench_config`]
-/// with the Hadoop-NS policy — the replay path the baseline and bench time.
-/// Panics on any parse or simulation error (bench context).
+/// with the Hadoop-NS policy. Panics on any parse or simulation error
+/// (test context).
 #[must_use]
 pub fn replay_sharded_bench_trace(path: &Path, jobs: u32, workers: u32) -> SimulationReport {
     let runner = ShardedRunner::new(sharded_bench_config(workers)).expect("valid config");
@@ -569,10 +567,11 @@ pub fn figure3_lineup_cached(
     .collect()
 }
 
-/// FNV-1a 64 digest of a report's canonical JSON, as a hex string. The
-/// `plan-cache` baseline entry records this instead of the whole report: a
-/// drifted digest means the planner-backed replay no longer reproduces the
-/// reference simulation byte for byte.
+/// FNV-1a 64 digest of a report's canonical JSON, as a hex string. Pinned
+/// where a whole report is too large to compare (the plan-cache replay of
+/// `tests/pinned_workload.rs`, `perfbench`'s fingerprint): a drifted digest
+/// means the replay no longer reproduces the reference simulation byte for
+/// byte.
 #[must_use]
 pub fn report_digest(report: &SimulationReport) -> String {
     let json = serde_json::to_string(report).expect("reports serialize");

@@ -127,15 +127,13 @@ fn undeclared_flags_exit_2_naming_the_flag() {
         "fig2 --quik",
         "fig3 --trace GOLDEN --seed 3",
         "all_experiments --quick --verbose",
-        "bench_baseline --chek",
     ] {
         let mut words = case.split(' ');
         let program = match words.next() {
             Some("trace_tool") => TRACE_TOOL,
             Some("fig2") => env!("CARGO_BIN_EXE_fig2"),
             Some("fig3") => env!("CARGO_BIN_EXE_fig3"),
-            Some("all_experiments") => env!("CARGO_BIN_EXE_all_experiments"),
-            _ => env!("CARGO_BIN_EXE_bench_baseline"),
+            _ => env!("CARGO_BIN_EXE_all_experiments"),
         };
         let args: Vec<&str> = words
             .map(|w| if w == "GOLDEN" { GOLDEN } else { w })

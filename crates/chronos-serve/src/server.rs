@@ -740,8 +740,9 @@ fn debit_budget(remaining: &AtomicU64, decision: AdmissionDecision) -> Admission
 /// ascending `request_id` order, so any submission/completion interleaving
 /// of the same decisions produces the same digest. Float fields (PoCD,
 /// cost, utility) are deliberately excluded: they flow through platform
-/// libm, and this digest is hard-checked across hosts by the baseline's
-/// `--check` mode and CI's `serve-smoke` check.
+/// libm, and this digest is pinned across hosts by `chronos-bench`'s
+/// `tests/pinned_workload.rs` and `tests/serve_replay.rs` and by CI's
+/// `serve-smoke` check.
 /// [`AdmissionDecision::remaining_budget`] is excluded too — it is a
 /// serving-side observability field, and under a finite budget the grant
 /// sequence (and so the digest-relevant `copies` values) already depends on

@@ -93,7 +93,7 @@
 //! # }
 //! ```
 
-use crate::loader::{TraceWriteError, TraceWriter};
+use crate::loader::{TraceWriteError, TraceWriter, MAX_MAP_TASKS};
 use chronos_core::{ChronosError, Pareto};
 use chronos_sim::prelude::{JobId, JobSpec, SimTime};
 use serde::{Deserialize, Serialize};
@@ -180,7 +180,8 @@ pub enum ConvertError {
         /// The task's index.
         task_index: u64,
     },
-    /// A job carries more tasks than the v1 format's `u32` column holds.
+    /// A job carries more tasks than a v1 row may declare
+    /// ([`MAX_MAP_TASKS`]).
     TooManyTasks {
         /// The oversized job.
         job_id: u64,
@@ -251,7 +252,7 @@ impl fmt::Display for ConvertError {
             ),
             ConvertError::TooManyTasks { job_id, tasks } => write!(
                 f,
-                "job {job_id} has {tasks} tasks, more than the v1 map_tasks column holds"
+                "job {job_id} has {tasks} tasks, more than the v1 per-job limit of {MAX_MAP_TASKS}"
             ),
             ConvertError::Write(err) => write!(f, "writing converted trace: {err}"),
         }
@@ -600,8 +601,10 @@ impl GoogleClusterTraceConverter {
                 skipped += 1;
                 continue;
             }
-            let task_count =
-                u32::try_from(agg.tasks.len()).map_err(|_| ConvertError::TooManyTasks {
+            let task_count = u32::try_from(agg.tasks.len())
+                .ok()
+                .filter(|&count| count <= MAX_MAP_TASKS)
+                .ok_or(ConvertError::TooManyTasks {
                     job_id,
                     tasks: agg.tasks.len() as u64,
                 })?;

@@ -48,7 +48,7 @@
 //! |---|---|---|
 //! | `job_id` | `u64` | caller-assigned id, unique within the trace (enforced on both ends: a repeated id is [`TraceParseError::DuplicateJobId`] on load and [`TraceWriteError::DuplicateJobId`] on write) |
 //! | `submit_time_s` | `f64 ≥ 0` | absolute submission instant, seconds |
-//! | `map_tasks` | `u32 ≥ 1` | number of map tasks |
+//! | `map_tasks` | `u32`, 1 ≤ n ≤ [`MAX_MAP_TASKS`] | number of map tasks |
 //! | `reduce_tasks` | `u32` | carried for format fidelity; the simulator models the map phase (Section III), so this column is validated but not replayed |
 //! | `mean_task_duration_s` | `f64 > 0` | mean task execution time `E[T] = t_min·β/(β−1)` |
 //! | `deadline_s` | `f64 > 0` | deadline relative to submission, seconds |
@@ -105,6 +105,12 @@ pub const FORMAT_NAME: &str = "chronos-trace";
 
 /// The newest (and currently only) supported on-disk format version.
 pub const FORMAT_VERSION: u32 = 1;
+
+/// The most map tasks one job may declare (2^20). The loader builds a
+/// job's task list from its `map_tasks` field, so without a cap one short
+/// row could demand `u32::MAX` tasks (tens of gigabytes). [`TraceWriter`]
+/// refuses larger jobs, so every file it writes still loads.
+pub const MAX_MAP_TASKS: u32 = 1 << 20;
 
 /// The six core columns, in the required order.
 const CORE_COLUMNS: [&str; 6] = [
@@ -355,6 +361,14 @@ pub enum TraceWriteError {
         /// Its tail index.
         beta: f64,
     },
+    /// The job has more than [`MAX_MAP_TASKS`] tasks; the loader would
+    /// reject its row.
+    TooManyTasks {
+        /// The offending job.
+        job: u64,
+        /// Its task count.
+        tasks: usize,
+    },
     /// The job fails [`JobSpec::validate`]; writing it would produce a file
     /// the loader rejects.
     InvalidSpec {
@@ -392,6 +406,10 @@ impl fmt::Display for TraceWriteError {
             TraceWriteError::InfiniteMean { job, beta } => write!(
                 f,
                 "job {job}: tail index beta = {beta} has an infinite mean task time; the trace format requires beta > 1"
+            ),
+            TraceWriteError::TooManyTasks { job, tasks } => write!(
+                f,
+                "job {job}: {tasks} tasks exceed the per-job limit of {MAX_MAP_TASKS}"
             ),
             TraceWriteError::InvalidSpec { job, message } => {
                 write!(f, "job {job}: invalid job specification: {message}")
@@ -923,6 +941,13 @@ fn parse_row(
             "a job needs at least one map task".into(),
         ));
     }
+    if map_tasks > MAX_MAP_TASKS {
+        return Err(field_err(
+            2,
+            "map_tasks",
+            format!("{map_tasks} exceeds the per-job limit of {MAX_MAP_TASKS} map tasks"),
+        ));
+    }
     // Validated but not replayed: the simulator models the map phase.
     let _reduce_tasks = parse_u32(3, "reduce_tasks")?;
     let mean_secs = parse_f64(4, "mean_task_duration_s")?;
@@ -1002,9 +1027,12 @@ fn parse_row(
         message: err.to_string(),
     })?;
 
-    let tasks = match columns.task_sizes {
+    let sized_tasks = match columns.task_sizes {
         Some(column) if !fields[column].is_empty() => {
-            let mut tasks = Vec::with_capacity(map_tasks as usize);
+            // Every factor takes at least one byte plus its `;`, so the
+            // field's length bounds the count before it is checked.
+            let mut tasks =
+                Vec::with_capacity((map_tasks as usize).min(fields[column].len().div_ceil(2)));
             for raw in fields[column].split(';') {
                 let factor = raw.trim().parse::<f64>().map_err(|_| {
                     field_err(
@@ -1029,20 +1057,29 @@ fn parse_row(
                     format!("{} size factors for {map_tasks} map tasks", tasks.len()),
                 ));
             }
-            tasks
+            Some(tasks)
         }
-        _ => vec![TaskSpec::nominal(); map_tasks as usize],
+        _ => None,
     };
 
-    let spec = JobSpec::new(
+    // `JobSpec::new` builds the nominal task list; a sized row replaces it,
+    // so it asks for none.
+    let nominal_tasks = if sized_tasks.is_some() {
+        0
+    } else {
+        map_tasks as usize
+    };
+    let mut spec = JobSpec::new(
         JobId::new(job_id),
         SimTime::from_secs(submit_secs),
         deadline_secs,
-        map_tasks as usize,
+        nominal_tasks,
     )
     .with_profile(profile)
-    .with_price(price)
-    .with_tasks(tasks);
+    .with_price(price);
+    if let Some(tasks) = sized_tasks {
+        spec = spec.with_tasks(tasks);
+    }
     spec.validate()
         .map_err(|err| TraceParseError::InvalidSpec {
             line,
@@ -1125,16 +1162,23 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// [`TraceWriteError::InvalidSpec`] when the spec fails validation,
     /// [`TraceWriteError::DuplicateJobId`] when its id was already written
-    /// (the loader would reject the file), [`TraceWriteError::NonMonotonicSubmit`]
-    /// when it is out of submission order, [`TraceWriteError::InfiniteMean`]
-    /// when its profile has `β ≤ 1`, and [`TraceWriteError::Io`] on write
-    /// failures.
+    /// (the loader would reject the file), [`TraceWriteError::TooManyTasks`]
+    /// when it has more than [`MAX_MAP_TASKS`] tasks,
+    /// [`TraceWriteError::NonMonotonicSubmit`] when it is out of submission
+    /// order, [`TraceWriteError::InfiniteMean`] when its profile has `β ≤ 1`,
+    /// and [`TraceWriteError::Io`] on write failures.
     pub fn write_job(&mut self, spec: &JobSpec) -> Result<(), TraceWriteError> {
         spec.validate()
             .map_err(|err| TraceWriteError::InvalidSpec {
                 job: spec.id.raw(),
                 message: err.to_string(),
             })?;
+        if spec.task_count() > MAX_MAP_TASKS as usize {
+            return Err(TraceWriteError::TooManyTasks {
+                job: spec.id.raw(),
+                tasks: spec.task_count(),
+            });
+        }
         if self.written_job_ids.contains(&spec.id.raw()) {
             return Err(TraceWriteError::DuplicateJobId { job: spec.id.raw() });
         }
@@ -1585,6 +1629,42 @@ mod tests {
                 }
             ),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn map_tasks_above_the_per_job_limit_is_rejected() {
+        // One short row must not make the loader allocate without bound.
+        for map_tasks in [u64::from(MAX_MAP_TASKS) + 1, u64::from(u32::MAX)] {
+            let text = format!("{HEADER}\n{CORE}\n0,0,{map_tasks},0,60,120\n");
+            let err = load_str(&text).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    TraceParseError::Field {
+                        line: 3,
+                        column: 3,
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+            assert!(err.to_string().contains("per-job limit"), "{err}");
+        }
+        // The limit itself loads, and the writer refuses one task more.
+        let text = format!("{HEADER}\n{CORE}\n0,0,{MAX_MAP_TASKS},0,60,120\n");
+        let jobs = load_str(&text).unwrap();
+        assert_eq!(load_str(&write_to_string(&jobs)).unwrap(), jobs);
+        let too_big = jobs[0]
+            .clone()
+            .with_tasks(vec![TaskSpec::nominal(); MAX_MAP_TASKS as usize + 1]);
+        let mut writer = TraceWriter::new(Vec::new(), None).unwrap();
+        assert_eq!(
+            writer.write_job(&too_big),
+            Err(TraceWriteError::TooManyTasks {
+                job: 0,
+                tasks: MAX_MAP_TASKS as usize + 1
+            })
         );
     }
 

@@ -12,6 +12,7 @@ use chronos_bench::{
     load_trace_jobs_or_exit, measure, print_table, run_policy, trace_path_from_args,
     trace_sim_config, write_json, Row, Scale, UtilitySpec,
 };
+use chronos_core::StrategyKind;
 use chronos_sim::prelude::PlanCache;
 use chronos_strategies::prelude::*;
 use chronos_trace::prelude::*;
@@ -47,19 +48,10 @@ fn main() {
         let config = ChronosPolicyConfig::with_theta(theta)
             .expect("theta is valid")
             .with_timing(StrategyTiming::trace_default());
-        let policies: Vec<(&str, Box<dyn SpeculationPolicy>)> = vec![
-            (
-                "clone",
-                Box::new(ClonePolicy::with_cache(config, Arc::clone(&cache))),
-            ),
-            (
-                "s-resume",
-                Box::new(ResumePolicy::with_cache(config, Arc::clone(&cache))),
-            ),
-        ];
-        for (label, policy) in policies {
-            let report =
-                run_policy(&trace_sim_config(43), policy, jobs.clone()).expect("simulation");
+        for kind in [StrategyKind::Clone, StrategyKind::SpeculativeResume] {
+            let policy = ChronosPolicy::with_cache(kind, config, Arc::clone(&cache));
+            let report = run_policy(&trace_sim_config(43), Box::new(policy), jobs.clone())
+                .expect("simulation");
             let m = measure(&report, UtilitySpec::new(theta, 0.0));
             let modal_r = m
                 .r_histogram
@@ -67,7 +59,7 @@ fn main() {
                 .max_by_key(|(_, count)| **count)
                 .map(|(r, _)| *r);
             series.push(Fig5Series {
-                policy: label.to_string(),
+                policy: kind.label().to_string(),
                 theta,
                 histogram: m.r_histogram,
                 modal_r,

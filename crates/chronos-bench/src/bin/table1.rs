@@ -33,12 +33,12 @@ fn run_strategy(
     let config = ChronosPolicyConfig::with_theta(theta)
         .expect("theta is valid")
         .with_timing(timing);
-    let policy: Box<dyn SpeculationPolicy> = match kind {
-        StrategyKind::Clone => Box::new(ClonePolicy::new(config)),
-        StrategyKind::SpeculativeRestart => Box::new(RestartPolicy::new(config)),
-        StrategyKind::SpeculativeResume => Box::new(ResumePolicy::new(config)),
-    };
-    let report = run_policy(&trace_sim_config(7), policy, jobs.to_vec()).expect("simulation");
+    let report = run_policy(
+        &trace_sim_config(7),
+        Box::new(ChronosPolicy::new(kind, config)),
+        jobs.to_vec(),
+    )
+    .expect("simulation");
     let m = measure(&report, UtilitySpec::new(theta, 0.0));
     (m.pocd, m.mean_machine_time, m.utility)
 }

@@ -35,8 +35,8 @@
 //!
 //! `serve-replay` feeds the trace's jobs through the `chronos-serve`
 //! admission-control planning server as an arrival stream and prints the
-//! deterministic decision count/digest (what CI's `serve-smoke` check pins)
-//! plus informational wall-clock latency quantiles.
+//! deterministic decision count/digest (what `tests/trace_tool_cli.rs`
+//! pins) plus informational wall-clock latency quantiles.
 //!
 //! Each subcommand rejects a flag it does not declare with exit code 2 and
 //! a usage error naming the flag, so a typo never runs a default instead.
@@ -325,9 +325,9 @@ fn replay(args: &[String]) -> Result<(), String> {
 ///
 /// The decision count and [`decisions_digest`] printed here are
 /// deterministic — a pure function of the trace and the policy config,
-/// independent of `--workers` and `--queue-capacity` — which is what CI's
-/// `serve-smoke` check pins. The latency quantiles are wall-clock and
-/// informational only.
+/// independent of `--workers` and `--queue-capacity` — which is what
+/// `tests/trace_tool_cli.rs` pins. The latency quantiles are wall-clock
+/// and informational only.
 fn serve_replay(args: &[String]) -> Result<(), String> {
     let trace: PathBuf = flag_value(args, "--trace")?.ok_or("serve-replay needs --trace")?;
     let workers = nonzero_flag_value(args, "--workers", 4)?;

@@ -81,14 +81,9 @@ fn simulated(kind: StrategyKind, r: u32, jobs: u32) -> (f64, f64) {
     let config = ChronosPolicyConfig::testbed()
         .with_timing(StrategyTiming::of_tmin(0.3, 0.6))
         .with_fixed_r(r);
-    let policy: Box<dyn SpeculationPolicy> = match kind {
-        StrategyKind::Clone => Box::new(ClonePolicy::new(config)),
-        StrategyKind::SpeculativeRestart => Box::new(RestartPolicy::new(config)),
-        StrategyKind::SpeculativeResume => Box::new(ResumePolicy::new(config)),
-    };
     let report = run_policy(
         &sim_config(97 + u64::from(r)),
-        policy,
+        Box::new(ChronosPolicy::new(kind, config)),
         validation_jobs(jobs, u64::from(r)),
     )
     .expect("simulation");

@@ -1,10 +1,10 @@
 //! The one formatter behind every greppable `trace_tool` summary line.
 //!
-//! CI pins several of these strings verbatim (in `ci/cli_smoke.sh`,
-//! `serve-smoke` greps `planned 7 jobs at 8 workers (7 feasible)`,
-//! `budget-smoke` extracts `allocation digest: …`, `obs-smoke` compares
-//! `decision trace digest: …` across worker counts), and humans grep the
-//! rest. Before this module each
+//! Checks pin several of these strings verbatim (`tests/trace_tool_cli.rs`
+//! looks for `planned 7 jobs at 8 workers (7 feasible)`; in
+//! `ci/cli_smoke.sh`, `budget-smoke` extracts `allocation digest: …` and
+//! `obs-smoke` compares `decision trace digest: …` across worker counts),
+//! and humans grep the rest. Before this module each
 //! subcommand carried its own `println!` copies, so two commands could
 //! drift apart silently — `replay` and `serve-replay` once rendered the
 //! same cache stats under different prefixes. Every summary line now has
@@ -58,15 +58,14 @@ pub fn allocation_digest_line(digest: &str) -> String {
     format!("allocation digest: {digest}")
 }
 
-/// The decision-count header of a serve replay (`serve-smoke` greps it
-/// verbatim).
+/// The decision-count header of a serve replay (`tests/trace_tool_cli.rs`
+/// pins it verbatim).
 #[must_use]
 pub fn planned_jobs_line(jobs: usize, workers: u32, feasible: usize) -> String {
     format!("planned {jobs} jobs at {workers} workers ({feasible} feasible)")
 }
 
-/// The serve decisions digest line (`serve-smoke` pins it across worker
-/// counts).
+/// The serve decisions digest line (`tests/trace_tool_cli.rs` pins it).
 #[must_use]
 pub fn decisions_digest_line(digest: &str) -> String {
     format!("decisions digest: {digest}")
@@ -127,7 +126,7 @@ mod tests {
 
     #[test]
     fn ci_pinned_lines_are_byte_exact() {
-        // serve-smoke greps this exact string.
+        // tests/trace_tool_cli.rs looks for this exact string.
         assert_eq!(
             planned_jobs_line(7, 8, 7),
             "planned 7 jobs at 8 workers (7 feasible)"

@@ -583,6 +583,7 @@ pub fn report_digest(report: &SimulationReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chronos_core::StrategyKind;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|arg| (*arg).to_string()).collect()
@@ -642,7 +643,7 @@ mod tests {
         .unwrap();
         let resume = run_and_measure(
             &config,
-            Box::new(ResumePolicy::new(chronos)),
+            Box::new(ChronosPolicy::new(StrategyKind::SpeculativeResume, chronos)),
             workload.generate().unwrap(),
             UtilitySpec::new(1e-4, 0.0),
         )

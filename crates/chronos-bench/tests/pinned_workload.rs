@@ -19,6 +19,7 @@ use chronos_bench::{
     replay_sharded_bench_trace, report_digest, sharded_bench_config, sharded_bench_stream,
     write_sharded_bench_trace,
 };
+use chronos_core::StrategyKind;
 use chronos_serve::prelude::*;
 use chronos_sim::prelude::*;
 use chronos_strategies::prelude::*;
@@ -83,7 +84,10 @@ fn s_resume_4() -> &'static SimulationReport {
     REPORT.get_or_init(|| {
         repeated("s-resume/workers-4", || {
             sharded_run(4, RunOptions::default(), |_| {
-                Box::new(ResumePolicy::uncached(ChronosPolicyConfig::testbed()))
+                Box::new(ChronosPolicy::uncached(
+                    StrategyKind::SpeculativeResume,
+                    ChronosPolicyConfig::testbed(),
+                ))
             })
             .report
         })
@@ -152,7 +156,8 @@ fn plan_cache_replay_equals_the_uncached_run() {
             trace: None,
         };
         let output = sharded_run(4, options, |_| {
-            Box::new(ResumePolicy::with_cache(
+            Box::new(ChronosPolicy::with_cache(
+                StrategyKind::SpeculativeResume,
                 ChronosPolicyConfig::testbed(),
                 Arc::clone(&cache),
             ))

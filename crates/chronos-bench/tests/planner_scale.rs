@@ -6,6 +6,7 @@
 //! optimizer solve per distinct job profile instead of one per job.
 
 use chronos_bench::load_trace_jobs;
+use chronos_core::StrategyKind;
 use chronos_sim::prelude::*;
 use chronos_strategies::prelude::*;
 use chronos_trace::prelude::*;
@@ -68,7 +69,10 @@ fn planner_backed_replay_is_bit_identical_to_the_uncached_path_at_scale() {
     let uncached = ShardedRunner::new(config(8))
         .expect("valid config")
         .run(chunks.clone(), RunOptions::default(), |_| {
-            Box::new(ResumePolicy::uncached(chronos))
+            Box::new(ChronosPolicy::uncached(
+                StrategyKind::SpeculativeResume,
+                chronos,
+            ))
         })
         .expect("uncached replay completes")
         .report;
@@ -86,7 +90,11 @@ fn planner_backed_replay_is_bit_identical_to_the_uncached_path_at_scale() {
         let output = ShardedRunner::new(config(workers))
             .expect("valid config")
             .run(chunks.clone(), options, |_| {
-                Box::new(ResumePolicy::with_cache(chronos, Arc::clone(&cache)))
+                Box::new(ChronosPolicy::with_cache(
+                    StrategyKind::SpeculativeResume,
+                    chronos,
+                    Arc::clone(&cache),
+                ))
             })
             .expect("planned replay completes");
         let (planned, stats) = (output.report, output.cache_stats.unwrap());
@@ -126,7 +134,11 @@ fn planner_backed_replay_is_bit_identical_to_the_uncached_path_at_scale() {
     let output = ShardedRunner::new(config(8))
         .expect("valid config")
         .run(stream, options, |_| {
-            Box::new(ResumePolicy::with_cache(chronos, Arc::clone(&cache)))
+            Box::new(ChronosPolicy::with_cache(
+                StrategyKind::SpeculativeResume,
+                chronos,
+                Arc::clone(&cache),
+            ))
         })
         .expect("file replay completes");
     let (replayed, stats) = (output.report, output.cache_stats.unwrap());

@@ -2,13 +2,13 @@
 //! Google-2011 trace through the `chronos-serve` admission server must
 //! produce the same decisions — count, feasibility, strategy, copies — at
 //! any worker count, bit-for-bit, and those decisions are pinned by
-//! digest. CI's `serve-smoke` check repeats the pin through the
+//! digest. `tests/trace_tool_cli.rs` repeats the pin through the
 //! `trace_tool serve-replay` command line.
 //!
 //! If an intentional policy/optimizer change shifts the decisions,
 //! regenerate the pinned digest with
 //! `trace_tool serve-replay --trace crates/chronos-bench/tests/golden/google2011_converted.trace`
-//! and update [`GOLDEN_DIGEST`] (and the grep in `.github/workflows/ci.yml`).
+//! and update [`GOLDEN_DIGEST`] (and the literal in `tests/trace_tool_cli.rs`).
 
 use chronos_serve::prelude::*;
 use chronos_sim::prelude::JobSpec;
@@ -21,8 +21,8 @@ const GOLDEN: &str = concat!(
 );
 
 /// The decisions digest of the golden trace under the default serve
-/// config (testbed policy, trace-scaled timing). Pinned here and by CI's
-/// `serve-smoke` grep.
+/// config (testbed policy, trace-scaled timing). Pinned here and by
+/// `tests/trace_tool_cli.rs`.
 const GOLDEN_DIGEST: &str = "3969606c572cc471";
 
 fn golden_jobs() -> Vec<JobSpec> {

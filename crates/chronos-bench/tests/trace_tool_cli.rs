@@ -7,9 +7,9 @@
 //! `--workers 0` built a runner no worker ever drained — so each case here
 //! is a regression test against reverting to the permissive parse.
 //!
-//! The happy-path case doubles as an offline copy of CI's `serve-smoke`
-//! job: `serve-replay` over the checked-in converted Google-2011 trace
-//! prints the pinned deterministic decision count and digest.
+//! The happy-path case pins what a shell check used to: `serve-replay`
+//! over the checked-in converted Google-2011 trace prints the pinned
+//! deterministic decision count and digest.
 
 use std::process::{Command, Output};
 
@@ -102,8 +102,8 @@ fn serve_replay_prints_the_pinned_decision_count_and_digest() {
         String::from_utf8_lossy(&output.stderr)
     );
     let stdout = String::from_utf8_lossy(&output.stdout);
-    // The same pins CI's serve-smoke check greps for; the digest literal is
-    // shared with tests/serve_replay.rs.
+    // The CLI twin of tests/serve_replay.rs, which pins the same digest
+    // literal at 1 and 8 workers.
     assert!(
         stdout.contains("planned 7 jobs at 8 workers (7 feasible)"),
         "unexpected serve-replay output: {stdout}"
@@ -117,9 +117,13 @@ fn serve_replay_prints_the_pinned_decision_count_and_digest() {
 #[test]
 fn undeclared_flags_exit_2_naming_the_flag() {
     // `--polcy s-resume` once silently replayed the default hadoop-ns. In
-    // each case the last flag is the unknown one.
+    // each case the last flag is the unknown one; the replay must also
+    // leave no report at its `--out` path.
+    let scratch = std::env::temp_dir().join(format!("trace_tool_cli_{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("scratch directory");
+    let report = scratch.join("typo.json");
     for case in [
-        "trace_tool replay --trace GOLDEN --polcy s-resume",
+        "trace_tool replay --trace GOLDEN --out REPORT --polcy s-resume",
         "trace_tool serve-replay --trace GOLDEN --policy clone",
         "trace_tool stats --trace GOLDEN --quick",
         "trace_tool generate --jobs 4 --seed 1 --out unused.csv -v",
@@ -136,7 +140,11 @@ fn undeclared_flags_exit_2_naming_the_flag() {
             _ => env!("CARGO_BIN_EXE_all_experiments"),
         };
         let args: Vec<&str> = words
-            .map(|w| if w == "GOLDEN" { GOLDEN } else { w })
+            .map(|w| match w {
+                "GOLDEN" => GOLDEN,
+                "REPORT" => report.to_str().expect("UTF-8 temp path"),
+                _ => w,
+            })
             .collect();
         let output = Command::new(program).args(&args).output().expect("spawns");
         let stderr = String::from_utf8_lossy(&output.stderr);
@@ -147,4 +155,7 @@ fn undeclared_flags_exit_2_naming_the_flag() {
             "{case}: {stderr}"
         );
     }
+    let written = report.exists();
+    std::fs::remove_dir_all(&scratch).expect("scratch directory removed");
+    assert!(!written, "a report was written despite an unknown flag");
 }

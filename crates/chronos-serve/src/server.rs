@@ -741,8 +741,8 @@ fn debit_budget(remaining: &AtomicU64, decision: AdmissionDecision) -> Admission
 /// of the same decisions produces the same digest. Float fields (PoCD,
 /// cost, utility) are deliberately excluded: they flow through platform
 /// libm, and this digest is pinned across hosts by `chronos-bench`'s
-/// `tests/pinned_workload.rs` and `tests/serve_replay.rs` and by CI's
-/// `serve-smoke` check.
+/// `tests/pinned_workload.rs`, `tests/serve_replay.rs` and
+/// `tests/trace_tool_cli.rs`.
 /// [`AdmissionDecision::remaining_budget`] is excluded too — it is a
 /// serving-side observability field, and under a finite budget the grant
 /// sequence (and so the digest-relevant `copies` values) already depends on

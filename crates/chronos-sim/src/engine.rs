@@ -24,7 +24,11 @@
 //!   sibling chain through [`Attempt::next_sibling`], so neither needs a
 //!   per-entity `Vec`.
 //! * Per-job policy bookkeeping (`chosen_r`, the periodic-check period) are
-//!   parallel arrays over job slots. `task_hot` flattens each task's
+//!   parallel arrays over job slots. `chosen_r` is the only copy of each
+//!   job's `r`: it is set from the final [`SubmitDecision::reported_r`] on
+//!   every submit path (direct, memo replay, batch override), handed to the
+//!   policy in every [`JobView`] and exported as [`JobMetrics::chosen_r`],
+//!   so no policy keeps a per-job map of its own. `task_hot` flattens each task's
 //!   sampling parameters (Pareto `t_min`, precomputed `1/β`, size factor)
 //!   next to its index so starting an attempt — the single hottest
 //!   operation — never chases the attempt → task → job pointer chain. [`JobView`] snapshots are built from
@@ -968,6 +972,7 @@ impl Simulation {
             deadline_secs,
             now: self.now,
             check_index,
+            chosen_r: self.chosen_r[slot],
             tasks,
             completed_tasks,
             mean_completed_task_duration,
@@ -1509,12 +1514,17 @@ mod tests {
         );
     }
 
-    /// Profile-pure policy that counts planner invocations vs replays.
+    /// Per-check `(job, view.chosen_r)` records of a probe policy.
+    type CheckedR = std::sync::Arc<std::sync::Mutex<Vec<(u64, Option<u32>)>>>;
+
+    /// Profile-pure policy that counts planner invocations vs replays and
+    /// records the `r` the engine hands back at each check.
     #[derive(Debug)]
     struct MemoProbe {
         pure: bool,
         submits: std::sync::Arc<std::sync::atomic::AtomicU32>,
         replays: std::sync::Arc<std::sync::atomic::AtomicU32>,
+        checked_r: CheckedR,
     }
 
     impl MemoProbe {
@@ -1523,6 +1533,7 @@ mod tests {
                 pure,
                 submits: Default::default(),
                 replays: Default::default(),
+                checked_r: Default::default(),
             }
         }
     }
@@ -1555,7 +1566,11 @@ mod tests {
             CheckSchedule::AtOffsets(vec![5.0])
         }
 
-        fn on_check(&mut self, _view: &JobView) -> Vec<PolicyAction> {
+        fn on_check(&mut self, view: &JobView) -> Vec<PolicyAction> {
+            self.checked_r
+                .lock()
+                .unwrap()
+                .push((view.job.raw(), view.chosen_r));
             Vec::new()
         }
     }
@@ -1567,6 +1582,7 @@ mod tests {
             let probe = MemoProbe::new(pure);
             let submits = std::sync::Arc::clone(&probe.submits);
             let replays = std::sync::Arc::clone(&probe.replays);
+            let checked_r = std::sync::Arc::clone(&probe.checked_r);
             let mut sim = Simulation::new(small_config(13), Box::new(probe)).unwrap();
             // Six jobs over two distinct profiles (deadline differs).
             sim.submit_all((0..6).map(|i| {
@@ -1579,32 +1595,41 @@ mod tests {
             }))
             .unwrap();
             let report = sim.run().unwrap();
+            let mut checked_r = checked_r.lock().unwrap().clone();
+            checked_r.sort_unstable();
             (
                 report,
                 submits.load(Ordering::Relaxed),
                 replays.load(Ordering::Relaxed),
+                checked_r,
             )
         };
-        let (memoized, memo_submits, memo_replays) = run(true);
-        let (direct, direct_submits, direct_replays) = run(false);
+        let (memoized, memo_submits, memo_replays, memo_checked_r) = run(true);
+        let (direct, direct_submits, direct_replays, direct_checked_r) = run(false);
         assert_eq!(memo_submits, 2, "two distinct profiles planned");
         assert_eq!(memo_replays, 4, "four arrivals replayed");
         assert_eq!(direct_submits, 6);
         assert_eq!(direct_replays, 0);
+        // Every job's check sees the `r` of its decision, whether it was
+        // planned directly or replayed from the memo.
+        let expected: Vec<(u64, Option<u32>)> = (0..6).map(|id| (id, Some(1))).collect();
+        assert_eq!(memo_checked_r, expected);
+        assert_eq!(direct_checked_r, expected);
         // Memoization must not change a single bit of the outcome.
         assert_eq!(memoized, direct);
     }
 
     /// Profile-pure policy that overrides chosen jobs through its
     /// [`BatchPlan`], counting submit vs replay calls: pins that overrides
-    /// are applied, mirrored through the replay hook, and bypass the
-    /// profile memo in both directions.
+    /// are applied, mirrored through the replay hook, handed back at the
+    /// job's checks, and bypass the profile memo in both directions.
     #[derive(Debug)]
     struct OverridingPolicy {
         override_ids: Vec<u64>,
         override_unknown: bool,
         submits: std::sync::Arc<std::sync::atomic::AtomicU32>,
         replays: std::sync::Arc<std::sync::Mutex<Vec<(u64, u32)>>>,
+        checked_r: CheckedR,
     }
 
     impl OverridingPolicy {
@@ -1614,6 +1639,7 @@ mod tests {
                 override_unknown: false,
                 submits: Default::default(),
                 replays: Default::default(),
+                checked_r: Default::default(),
             }
         }
     }
@@ -1662,10 +1688,14 @@ mod tests {
         }
 
         fn check_schedule(&self, _job: &JobSubmitView) -> CheckSchedule {
-            CheckSchedule::Never
+            CheckSchedule::AtOffsets(vec![1.0])
         }
 
-        fn on_check(&mut self, _view: &JobView) -> Vec<PolicyAction> {
+        fn on_check(&mut self, view: &JobView) -> Vec<PolicyAction> {
+            self.checked_r
+                .lock()
+                .unwrap()
+                .push((view.job.raw(), view.chosen_r));
             Vec::new()
         }
     }
@@ -1676,6 +1706,7 @@ mod tests {
         let policy = OverridingPolicy::new(vec![1, 2]);
         let submits = std::sync::Arc::clone(&policy.submits);
         let replays = std::sync::Arc::clone(&policy.replays);
+        let checked_r = std::sync::Arc::clone(&policy.checked_r);
         let mut sim = Simulation::new(small_config(13), Box::new(policy)).unwrap();
         // Four jobs sharing one profile; jobs 1 and 2 are overridden to two
         // extra clones per task, the others submit normally (zero clones).
@@ -1703,6 +1734,15 @@ mod tests {
             let expected_r = (id.raw() == 1 || id.raw() == 2).then_some(2);
             assert_eq!(metrics.chosen_r, expected_r, "{id}");
         }
+        // The check of every job sees the `r` of its final decision: the
+        // override's for jobs 1 and 2, none for the direct submission of
+        // job 0 and the memo replay of job 3.
+        let mut checked_r = checked_r.lock().unwrap().clone();
+        checked_r.sort_unstable();
+        assert_eq!(
+            checked_r,
+            vec![(0, None), (1, Some(2)), (2, Some(2)), (3, None)]
+        );
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //! * a policy that overrides a job's submission inserts the final
 //!   [`SubmitDecision`] via [`BatchPlan::with_override`]; the engine then
 //!   skips [`SpeculationPolicy::on_job_submit`] for that job and calls
-//!   [`SpeculationPolicy::on_job_submit_replayed`] instead, so the policy
-//!   can mirror its bookkeeping (overridden jobs also bypass the engine's
-//!   profile-keyed submit memo: an override is per job id, not per
-//!   profile);
+//!   [`SpeculationPolicy::on_job_submit_replayed`] instead, and the
+//!   override's `reported_r` is what [`JobView::chosen_r`] carries at the
+//!   job's checks (overridden jobs also bypass the engine's profile-keyed
+//!   submit memo: an override is per job id, not per profile);
 //! * [`SpeculationPolicy::name`] now returns `&str` — it was `String`, an
 //!   allocation per call for a value `Simulation::new` caches anyway;
 //!   implementations return their literal directly.
@@ -236,6 +236,10 @@ pub struct JobView {
     /// Ordinal of this check for the job (0-based), matching the offsets of
     /// [`CheckSchedule::AtOffsets`].
     pub check_index: u32,
+    /// The `r` of the job's final [`SubmitDecision::reported_r`], whichever
+    /// path decided it (submit, memo replay or batch override). The engine
+    /// is its only owner, so policies keep no per-job map of their own.
+    pub chosen_r: Option<u32>,
     /// Per-task snapshots in job order.
     pub tasks: Vec<TaskView>,
     /// Number of tasks already completed.
@@ -336,8 +340,9 @@ pub trait SpeculationPolicy: fmt::Debug + Send {
         Ok(BatchPlan::default())
     }
 
-    /// Called once when a job is submitted. The policy typically runs the
-    /// Chronos optimizer here and remembers the resulting `r` for the job.
+    /// Called once when a job is submitted. The Chronos policies run
+    /// Algorithm 1 here; the engine keeps the decision's `reported_r` and
+    /// hands it back at every check as [`JobView::chosen_r`].
     fn on_job_submit(&mut self, job: &JobSubmitView) -> SubmitDecision;
 
     /// Whether [`SpeculationPolicy::on_job_submit`] and
@@ -359,9 +364,10 @@ pub trait SpeculationPolicy: fmt::Debug + Send {
     /// engine replays an already-decided submission: a memoized decision
     /// for a profile-pure policy (see
     /// [`SpeculationPolicy::submit_is_profile_pure`]) or a [`BatchPlan`]
-    /// override. Policies that record per-job state at submission — e.g.
-    /// the chosen `r` consulted at later check points — must mirror that
-    /// bookkeeping here. The default does nothing.
+    /// override. The replayed decision's `reported_r` reaches the job's
+    /// checks through [`JobView::chosen_r`] without this hook, so the
+    /// default does nothing; it exists for wrappers that observe every
+    /// decision (for example to count or time them).
     fn on_job_submit_replayed(&mut self, job: &JobSubmitView, decision: SubmitDecision) {
         let _ = (job, decision);
     }
@@ -462,6 +468,7 @@ mod tests {
             deadline_secs: 50.0,
             now: SimTime::from_secs(130.0),
             check_index: 0,
+            chosen_r: None,
             tasks: vec![task_view()],
             completed_tasks: 0,
             mean_completed_task_duration: None,
@@ -493,6 +500,7 @@ mod tests {
             deadline_secs: 100.0,
             now: SimTime::from_secs(10.0),
             check_index: 0,
+            chosen_r: None,
             tasks: Vec::new(),
             completed_tasks: 0,
             mean_completed_task_duration: None,

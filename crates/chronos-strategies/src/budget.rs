@@ -1,5 +1,5 @@
-//! Budget-aware policy construction: [`BudgetedPolicy`] caps any Chronos
-//! strategy under a cluster-wide [`SpeculationBudget`], and
+//! Budget-aware policy construction: [`BudgetedPolicy`] caps a
+//! [`ChronosPolicy`] under a finite cluster-wide [`SpeculationBudget`], and
 //! [`PolicyBuilder`] is the one construction path for every policy this
 //! crate can build (kind + optional shared cache + optional budget +
 //! optional ledger).
@@ -12,20 +12,17 @@
 //! inner policy's unconstrained submissions. Under
 //! [`SpeculationBudget::Unlimited`] the builder does not wrap at all — the
 //! unbudgeted policy is returned as-is, so unlimited runs are trivially
-//! bit-identical to the historical behaviour.
+//! bit-identical to the historical behaviour, and every [`BudgetedPolicy`]
+//! holds a finite budget.
 
 use crate::common::{ChronosPolicyConfig, PolicyPlanner};
-use crate::{
-    ClonePolicy, HadoopNoSpec, HadoopSpeculate, MantriPolicy, PolicyKind, RestartPolicy,
-    ResumePolicy,
-};
+use crate::{ChronosPolicy, HadoopNoSpec, HadoopSpeculate, MantriPolicy, PolicyKind};
 use chronos_core::{ChronosError, Optimizer, StrategyKind};
 use chronos_plan::{allocate, AllocationLedger, BudgetJob, PlanCache, Planner, SpeculationBudget};
 use chronos_sim::prelude::{
     BatchDiagnostics, BatchPlan, CheckSchedule, JobSubmitView, JobView, PlacementPolicy,
     PolicyAction, SimError, SpeculationPolicy, SubmitDecision,
 };
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The typed error of [`PolicyBuilder::build`].
@@ -191,15 +188,12 @@ impl PolicyBuilder {
         }
         let strategy =
             budgeted_strategy(kind).ok_or(PolicyBuildError::UnbudgetableBaseline { kind })?;
-        let (requests, allocator) = self.admission_parts()?;
+        let (_, allocator) = self.admission_parts()?;
         Ok(Box::new(BudgetedPolicy {
-            inner: self.build_unbudgeted(kind),
-            strategy,
-            requests,
+            inner: self.chronos(strategy),
             allocator,
             budget: self.budget,
             ledger: self.ledger.clone(),
-            granted: BTreeMap::new(),
         }))
     }
 
@@ -228,27 +222,25 @@ impl PolicyBuilder {
     /// The classic per-kind construction (baselines ignore the config; the
     /// Chronos strategies share the cache when one is configured).
     fn build_unbudgeted(&self, kind: PolicyKind) -> Box<dyn SpeculationPolicy> {
-        match (kind, &self.cache) {
-            (PolicyKind::HadoopNoSpec, _) => Box::new(HadoopNoSpec::default()),
-            (PolicyKind::HadoopSpeculate, _) => Box::new(HadoopSpeculate::default()),
-            (PolicyKind::Mantri, _) => Box::new(MantriPolicy::default()),
-            (PolicyKind::Clone, None) => Box::new(ClonePolicy::new(self.config)),
-            (PolicyKind::Clone, Some(cache)) => {
-                Box::new(ClonePolicy::with_cache(self.config, Arc::clone(cache)))
-            }
-            (PolicyKind::SpeculativeRestart, None) => Box::new(RestartPolicy::new(self.config)),
-            (PolicyKind::SpeculativeRestart, Some(cache)) => {
-                Box::new(RestartPolicy::with_cache(self.config, Arc::clone(cache)))
-            }
-            (PolicyKind::SpeculativeResume, None) => Box::new(ResumePolicy::new(self.config)),
-            (PolicyKind::SpeculativeResume, Some(cache)) => {
-                Box::new(ResumePolicy::with_cache(self.config, Arc::clone(cache)))
-            }
+        match (kind, budgeted_strategy(kind)) {
+            (_, Some(strategy)) => Box::new(self.chronos(strategy)),
+            (PolicyKind::HadoopSpeculate, None) => Box::new(HadoopSpeculate::default()),
+            (PolicyKind::Mantri, None) => Box::new(MantriPolicy::default()),
+            (_, None) => Box::new(HadoopNoSpec::default()),
+        }
+    }
+
+    /// The Chronos policy for `strategy`, over the shared cache when one is
+    /// configured.
+    fn chronos(&self, strategy: StrategyKind) -> ChronosPolicy {
+        match &self.cache {
+            Some(cache) => ChronosPolicy::with_cache(strategy, self.config, Arc::clone(cache)),
+            None => ChronosPolicy::new(strategy, self.config),
         }
     }
 }
 
-/// A Chronos strategy capped by a cluster-wide speculation budget.
+/// A [`ChronosPolicy`] capped by a finite cluster-wide speculation budget.
 ///
 /// At every [`SpeculationPolicy::on_job_batch`] round the wrapper plans the
 /// batch through the shared closed forms, runs the
@@ -257,8 +249,8 @@ impl PolicyBuilder {
 /// per planning round: each batch is allocated a fresh `B`). Consequences:
 ///
 /// * jobs granted their full unconstrained optimum behave exactly as under
-///   the unwrapped policy (same decision values, replayed through
-///   [`SpeculationPolicy::on_job_submit_replayed`]);
+///   the unwrapped policy (same decision values, and the engine hands the
+///   granted `r` back at their checks as [`JobView::chosen_r`]);
 /// * jobs granted zero copies are fully muted: no clones at submission and
 ///   no reactive actions at their check points, so a zero budget
 ///   reproduces Hadoop-NS miss rates;
@@ -272,17 +264,11 @@ impl PolicyBuilder {
 /// curves. Construct via [`PolicyBuilder::budgeted`].
 #[derive(Debug)]
 pub struct BudgetedPolicy {
-    inner: Box<dyn SpeculationPolicy>,
-    strategy: StrategyKind,
-    /// Request construction only (profile + timing → `PlanRequest`).
-    requests: PolicyPlanner,
+    inner: ChronosPolicy,
     /// The allocator's planner; shares the builder's cache when present.
     allocator: Planner,
     budget: SpeculationBudget,
     ledger: Option<Arc<AllocationLedger>>,
-    /// Copies granted per raw job id, consulted to mute zero-grant jobs at
-    /// their check points.
-    granted: BTreeMap<u64, u32>,
 }
 
 impl BudgetedPolicy {
@@ -290,18 +276,6 @@ impl BudgetedPolicy {
     #[must_use]
     pub fn budget(&self) -> SpeculationBudget {
         self.budget
-    }
-
-    /// The final submit decision for a job granted `copies` under this
-    /// wrapper's strategy.
-    fn decision_for(&self, copies: u32) -> SubmitDecision {
-        SubmitDecision {
-            extra_clones_per_task: match self.strategy {
-                StrategyKind::Clone => copies,
-                StrategyKind::SpeculativeRestart | StrategyKind::SpeculativeResume => 0,
-            },
-            reported_r: Some(copies),
-        }
     }
 }
 
@@ -315,10 +289,7 @@ impl SpeculationPolicy for BudgetedPolicy {
     fn on_job_batch(&mut self, jobs: &[JobSubmitView]) -> Result<BatchPlan, SimError> {
         // Warm the inner policy's planner first (its plan is empty: the
         // Chronos strategies only prefetch here).
-        let inner_plan = self.inner.on_job_batch(jobs)?;
-        if self.budget.is_unlimited() {
-            return Ok(inner_plan);
-        }
+        self.inner.on_job_batch(jobs)?;
 
         // Jobs whose request cannot even be formed are infeasible for the
         // closed forms: granted zero, like jobs whose plan fails inside the
@@ -326,7 +297,7 @@ impl SpeculationPolicy for BudgetedPolicy {
         let mut budget_jobs = Vec::with_capacity(jobs.len());
         let mut plannable = vec![false; jobs.len()];
         for (index, job) in jobs.iter().enumerate() {
-            if let Ok(request) = self.requests.request_for(job, self.strategy) {
+            if let Ok(request) = self.inner.request_for(job) {
                 budget_jobs.push(BudgetJob::new(job.job.raw(), request));
                 plannable[index] = true;
             }
@@ -345,8 +316,7 @@ impl SpeculationPolicy for BudgetedPolicy {
             } else {
                 0
             };
-            self.granted.insert(job.job.raw(), copies);
-            plan = plan.with_override(job.job, self.decision_for(copies));
+            plan = plan.with_override(job.job, self.inner.decision(copies));
         }
         plan.diagnostics = BatchDiagnostics {
             jobs: jobs.len() as u32,
@@ -359,28 +329,12 @@ impl SpeculationPolicy for BudgetedPolicy {
     }
 
     fn on_job_submit(&mut self, job: &JobSubmitView) -> SubmitDecision {
-        // Batched submissions are always overridden under a finite budget;
-        // an out-of-band submission falls through to the inner policy,
-        // unbudgeted (and its reported r keeps its checks live).
-        let decision = self.inner.on_job_submit(job);
-        if let Some(r) = decision.reported_r {
-            self.granted.insert(job.job.raw(), r);
-        }
-        decision
-    }
-
-    fn submit_is_profile_pure(&self) -> bool {
-        // Finite budgets make decisions batch-global (a job's grant depends
-        // on its competitors), so the profile-keyed submit memo must stay
-        // off; unlimited wrappers defer to the inner policy.
-        self.budget.is_unlimited() && self.inner.submit_is_profile_pure()
-    }
-
-    fn on_job_submit_replayed(&mut self, job: &JobSubmitView, decision: SubmitDecision) {
-        if let Some(r) = decision.reported_r {
-            self.granted.insert(job.job.raw(), r);
-        }
-        self.inner.on_job_submit_replayed(job, decision);
+        // Batched submissions are always overridden; an out-of-band
+        // submission falls through to the inner policy, unbudgeted (and its
+        // reported r keeps its checks live). The trait's default
+        // `submit_is_profile_pure` (false) keeps the profile-keyed submit
+        // memo off: a job's grant depends on its competitors in the batch.
+        self.inner.on_job_submit(job)
     }
 
     fn check_schedule(&self, job: &JobSubmitView) -> CheckSchedule {
@@ -391,7 +345,7 @@ impl SpeculationPolicy for BudgetedPolicy {
         // A zero-grant job is muted entirely: without this, the reactive
         // strategies would still launch replacements (Resume launches
         // `r + 1`), spending copies the allocator never granted.
-        if !self.budget.is_unlimited() && self.granted.get(&view.job.raw()) == Some(&0) {
+        if view.chosen_r == Some(0) {
             return Vec::new();
         }
         self.inner.on_check(view)

@@ -1,142 +1,39 @@
 //! The Clone strategy (Section III / VI.A): launch `r + 1` attempts of every
 //! task at submission, prune to the best-progress attempt at `τ_kill`.
 
-use crate::common::{ChronosPolicyConfig, PolicyPlanner};
-use chronos_core::StrategyKind;
-use chronos_sim::prelude::{
-    BatchPlan, CheckSchedule, JobSubmitView, JobView, PlanCache, PolicyAction, SimError,
-    SpeculationPolicy, SubmitDecision,
-};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use chronos_sim::prelude::{JobView, PolicyAction};
 
-/// The proactive cloning policy.
-///
-/// At job submission the Application Master solves the joint PoCD/cost
-/// optimization for the Clone closed forms (Theorems 1 and 2) to obtain `r`,
-/// then creates `r` extra copies of every task alongside the original. At
-/// `τ_kill` the attempt with the best progress score is kept and the other
-/// `r` are killed.
-///
-/// # Examples
-///
-/// ```
-/// use chronos_strategies::prelude::*;
-///
-/// let policy = ClonePolicy::new(ChronosPolicyConfig::testbed());
-/// assert_eq!(policy.name(), "clone");
-/// ```
-#[derive(Debug, Clone)]
-pub struct ClonePolicy {
-    planner: PolicyPlanner,
-    chosen_r: BTreeMap<u64, u32>,
-}
-
-impl ClonePolicy {
-    /// Creates the policy with the given Chronos configuration. Plans are
-    /// memoized per policy instance; use [`ClonePolicy::with_cache`] to
-    /// share them across policies and shards.
-    #[must_use]
-    pub fn new(config: ChronosPolicyConfig) -> Self {
-        ClonePolicy::from_planner(PolicyPlanner::new(config))
-    }
-
-    /// Creates the policy over a shared plan cache: every policy instance
-    /// handed a clone of the same `Arc` (e.g. one per shard of a sharded
-    /// replay) solves each distinct job profile once, cluster-wide.
-    #[must_use]
-    pub fn with_cache(config: ChronosPolicyConfig, cache: Arc<PlanCache>) -> Self {
-        ClonePolicy::from_planner(PolicyPlanner::with_cache(config, cache))
-    }
-
-    /// Creates the policy with memoization disabled — the bit-identical
-    /// reference path the scale tests compare the cached paths against.
-    #[must_use]
-    pub fn uncached(config: ChronosPolicyConfig) -> Self {
-        ClonePolicy::from_planner(PolicyPlanner::uncached(config))
-    }
-
-    fn from_planner(planner: PolicyPlanner) -> Self {
-        ClonePolicy {
-            planner,
-            chosen_r: BTreeMap::new(),
+/// τ_kill: keep the best-progress attempt of every unfinished task and
+/// kill the other copies.
+pub(crate) fn prune_to_best_progress(view: &JobView) -> Vec<PolicyAction> {
+    let mut actions = Vec::new();
+    for task in view.incomplete_tasks() {
+        if task.active_attempts() <= 1 {
+            continue;
+        }
+        if let Some(best) = task.best_progress_attempt() {
+            actions.push(PolicyAction::KillAllExcept {
+                task: task.task,
+                keep: best.attempt,
+            });
         }
     }
-
-    /// The configuration this policy optimizes with.
-    #[must_use]
-    pub fn config(&self) -> &ChronosPolicyConfig {
-        self.planner.config()
-    }
-
-    /// The `r` chosen for a job, if it has been submitted already.
-    #[must_use]
-    pub fn chosen_r(&self, job: chronos_sim::prelude::JobId) -> Option<u32> {
-        self.chosen_r.get(&job.raw()).copied()
-    }
-}
-
-impl SpeculationPolicy for ClonePolicy {
-    fn name(&self) -> &str {
-        "clone"
-    }
-
-    fn on_job_batch(&mut self, jobs: &[JobSubmitView]) -> Result<BatchPlan, SimError> {
-        self.planner.warm_batch(jobs, StrategyKind::Clone);
-        Ok(BatchPlan::default())
-    }
-
-    fn on_job_submit(&mut self, job: &JobSubmitView) -> SubmitDecision {
-        let r = self.planner.optimize_r(job, StrategyKind::Clone);
-        self.chosen_r.insert(job.job.raw(), r);
-        SubmitDecision {
-            extra_clones_per_task: r,
-            reported_r: Some(r),
-        }
-    }
-
-    fn submit_is_profile_pure(&self) -> bool {
-        // The planned `r` and the `[τ_kill]` schedule are functions of the
-        // job profile alone (memoization is wall-clock only).
-        true
-    }
-
-    fn on_job_submit_replayed(&mut self, job: &JobSubmitView, decision: SubmitDecision) {
-        // Mirror the per-job bookkeeping of `on_job_submit` so `chosen_r`
-        // sees the replayed decision.
-        if let Some(r) = decision.reported_r {
-            self.chosen_r.insert(job.job.raw(), r);
-        }
-    }
-
-    fn check_schedule(&self, job: &JobSubmitView) -> CheckSchedule {
-        let (_, tau_kill) = self.config().timing.resolve(job.profile.t_min());
-        CheckSchedule::AtOffsets(vec![tau_kill])
-    }
-
-    fn on_check(&mut self, view: &JobView) -> Vec<PolicyAction> {
-        // τ_kill: keep the best-progress attempt of every unfinished task.
-        let mut actions = Vec::new();
-        for task in view.incomplete_tasks() {
-            if task.active_attempts() <= 1 {
-                continue;
-            }
-            if let Some(best) = task.best_progress_attempt() {
-                actions.push(PolicyAction::KillAllExcept {
-                    task: task.task,
-                    keep: best.attempt,
-                });
-            }
-        }
-        actions
-    }
+    actions
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use chronos_core::Pareto;
-    use chronos_sim::prelude::{AttemptId, AttemptView, JobId, SimTime, TaskId, TaskView};
+    use crate::common::ChronosPolicyConfig;
+    use crate::policy::ChronosPolicy;
+    use chronos_core::{Pareto, StrategyKind};
+    use chronos_sim::prelude::{
+        AttemptId, AttemptView, CheckSchedule, JobId, JobSubmitView, JobView, PolicyAction,
+        SimTime, SpeculationPolicy, TaskId, TaskView,
+    };
+
+    fn policy() -> ChronosPolicy {
+        ChronosPolicy::new(StrategyKind::Clone, ChronosPolicyConfig::testbed())
+    }
 
     fn submit_view() -> JobSubmitView {
         JobSubmitView {
@@ -150,20 +47,14 @@ mod tests {
 
     #[test]
     fn submit_clones_r_extra_attempts() {
-        let mut policy = ClonePolicy::new(ChronosPolicyConfig::testbed());
-        let decision = policy.on_job_submit(&submit_view());
+        let decision = policy().on_job_submit(&submit_view());
         assert!(decision.extra_clones_per_task >= 1);
         assert_eq!(decision.reported_r, Some(decision.extra_clones_per_task));
-        assert_eq!(
-            policy.chosen_r(JobId::new(7)),
-            Some(decision.extra_clones_per_task)
-        );
     }
 
     #[test]
     fn schedule_is_single_kill_point() {
-        let policy = ClonePolicy::new(ChronosPolicyConfig::testbed());
-        match policy.check_schedule(&submit_view()) {
+        match policy().check_schedule(&submit_view()) {
             CheckSchedule::AtOffsets(offsets) => assert_eq!(offsets, vec![80.0]),
             other => panic!("unexpected schedule {other:?}"),
         }
@@ -171,7 +62,8 @@ mod tests {
 
     #[test]
     fn check_prunes_to_best_progress() {
-        let mut policy = ClonePolicy::new(ChronosPolicyConfig::testbed());
+        let mut policy = policy();
+        let r = policy.on_job_submit(&submit_view()).reported_r;
         let attempts = |values: &[(u64, f64, bool)]| -> Vec<AttemptView> {
             values
                 .iter()
@@ -193,6 +85,7 @@ mod tests {
             deadline_secs: 100.0,
             now: SimTime::from_secs(80.0),
             check_index: 0,
+            chosen_r: r,
             tasks: vec![
                 TaskView {
                     task: TaskId::new(0),

@@ -1,14 +1,15 @@
-//! Shared machinery for the Chronos policies: per-job optimization of the
-//! number of extra attempts `r` and the straggler test.
+//! Shared machinery for the Chronos strategies: per-job optimization of the
+//! number of extra attempts `r`, the straggler test and the reactive
+//! strategies' `τ_kill` pruning.
 
 use crate::timing::StrategyTiming;
 use chronos_core::prelude::*;
 use chronos_plan::{CacheStats, Plan, PlanCache, PlanRequest, Planner};
-use chronos_sim::prelude::{AttemptView, JobSubmitView, JobView, SimError, TaskView};
+use chronos_sim::prelude::{AttemptView, JobSubmitView, JobView, PolicyAction, SimError, TaskView};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Configuration shared by the three Chronos policies: the net-utility
+/// Configuration shared by the three Chronos strategies: the net-utility
 /// objective, the optimizer settings, the timing of `τ_est`/`τ_kill` and a
 /// cap on `r` as a safety valve.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -149,7 +150,7 @@ enum PlanBackend {
     Broken(ChronosError),
 }
 
-/// The planning front-end shared by the three Chronos policies: turns
+/// The planning front-end shared by the three Chronos strategies: turns
 /// submit-time job views into `chronos-plan` requests, memoizes the solved
 /// plans (per-policy or across policies/shards via a shared
 /// [`PlanCache`]), and resolves errors to the configured fallback `r`
@@ -402,6 +403,24 @@ pub fn prune_keep_candidate<'a>(task: &'a TaskView, view: &JobView) -> Option<&'
     Some(best)
 }
 
+/// τ_kill of the reactive strategies: keep the attempt of every unfinished
+/// task chosen by [`prune_keep_candidate`] and kill the others.
+pub(crate) fn prune_to_fastest(view: &JobView) -> Vec<PolicyAction> {
+    let mut actions = Vec::new();
+    for task in view.incomplete_tasks() {
+        if task.active_attempts() <= 1 {
+            continue;
+        }
+        if let Some(best) = prune_keep_candidate(task, view) {
+            actions.push(PolicyAction::KillAllExcept {
+                task: task.task,
+                keep: best.attempt,
+            });
+        }
+    }
+    actions
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,6 +529,7 @@ mod tests {
             deadline_secs: 100.0,
             now: SimTime::from_secs(40.0),
             check_index: 0,
+            chosen_r: None,
             tasks,
             completed_tasks: 0,
             mean_completed_task_duration: None,

@@ -146,6 +146,7 @@ mod tests {
             deadline_secs: 100.0,
             now: SimTime::from_secs(50.0),
             check_index: 3,
+            chosen_r: None,
             tasks,
             completed_tasks: usize::from(mean_finished.is_some()),
             mean_completed_task_duration: mean_finished,

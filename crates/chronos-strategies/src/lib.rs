@@ -3,10 +3,13 @@
 //! The speculative-execution strategies evaluated in the Chronos paper,
 //! implemented against the policy interface of [`chronos_sim`]:
 //!
-//! * the three **Chronos strategies** — [`ClonePolicy`], [`RestartPolicy`]
-//!   (Speculative-Restart) and [`ResumePolicy`] (Speculative-Resume) — each
-//!   of which runs Algorithm 1 from [`chronos_core`] at job submission to
-//!   pick the optimal number of extra attempts `r`;
+//! * the three **Chronos strategies** — Clone, Speculative-Restart and
+//!   Speculative-Resume — as one [`ChronosPolicy`] that takes the
+//!   [`StrategyKind`](chronos_core::StrategyKind) as a parameter, as
+//!   Algorithm 1 from [`chronos_core`] does: it runs at job submission to
+//!   pick the optimal number of extra attempts `r`, and the engine hands
+//!   that `r` back at every check point (the policy keeps no per-job
+//!   state);
 //! * the **baselines**: [`HadoopNoSpec`] (Hadoop-NS), [`HadoopSpeculate`]
 //!   (Hadoop-S, stock speculation) and [`MantriPolicy`] (Mantri-style
 //!   outlier mitigation).
@@ -14,18 +17,20 @@
 //! # Example: build every policy used in Figure 2
 //!
 //! ```
+//! use chronos_core::StrategyKind;
 //! use chronos_strategies::prelude::*;
 //! use chronos_sim::prelude::SpeculationPolicy;
 //!
 //! let config = ChronosPolicyConfig::testbed();
-//! let policies: Vec<Box<dyn SpeculationPolicy>> = vec![
+//! let mut policies: Vec<Box<dyn SpeculationPolicy>> = vec![
 //!     Box::new(HadoopNoSpec::default()),
 //!     Box::new(HadoopSpeculate::default()),
-//!     Box::new(ClonePolicy::new(config)),
-//!     Box::new(RestartPolicy::new(config)),
-//!     Box::new(ResumePolicy::new(config)),
 //! ];
-//! assert_eq!(policies.len(), 5);
+//! for kind in StrategyKind::ALL {
+//!     policies.push(Box::new(ChronosPolicy::new(kind, config)));
+//! }
+//! let names: Vec<&str> = policies.iter().map(|policy| policy.name()).collect();
+//! assert_eq!(names, ["hadoop-ns", "hadoop-s", "clone", "s-restart", "s-resume"]);
 //! ```
 
 #![warn(missing_docs)]
@@ -33,23 +38,22 @@
 #![deny(unsafe_code)]
 
 pub mod budget;
-pub mod clone;
+mod clone;
 pub mod common;
 pub mod hadoop;
 pub mod mantri;
-pub mod restart;
-pub mod resume;
+pub mod policy;
+mod restart;
+mod resume;
 pub mod timing;
 
 pub mod prelude;
 
 pub use budget::{BudgetedPolicy, PolicyBuildError, PolicyBuilder};
-pub use clone::ClonePolicy;
 pub use common::{expected_straggler_progress, ChronosPolicyConfig, PolicyPlanner};
 pub use hadoop::{HadoopNoSpec, HadoopSpeculate};
 pub use mantri::MantriPolicy;
-pub use restart::RestartPolicy;
-pub use resume::ResumePolicy;
+pub use policy::ChronosPolicy;
 pub use timing::{StrategyTiming, Timing};
 
 use chronos_sim::prelude::{PlanCache, SpeculationPolicy};

@@ -191,6 +191,7 @@ mod tests {
             deadline_secs: 100.0,
             now: SimTime::from_secs(60.0),
             check_index: 2,
+            chosen_r: None,
             tasks,
             completed_tasks: 1,
             mean_completed_task_duration: Some(50.0),

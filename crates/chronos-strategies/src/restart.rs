@@ -2,174 +2,43 @@
 //! stragglers at `τ_est`, launch `r` extra attempts from byte zero, keep the
 //! fastest attempt at `τ_kill`.
 
-use crate::common::{is_straggler, prune_keep_candidate, ChronosPolicyConfig, PolicyPlanner};
-use chronos_core::StrategyKind;
-use chronos_sim::prelude::{
-    BatchPlan, CheckSchedule, JobSubmitView, JobView, PlanCache, PolicyAction, SimError,
-    SpeculationPolicy, SubmitDecision,
-};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use crate::common::is_straggler;
+use chronos_sim::prelude::{JobView, PolicyAction};
 
-/// The reactive restart policy.
-///
-/// One original attempt per task is launched at submission. At `τ_est` every
-/// task whose estimated completion time (Eq. 30) exceeds the deadline gets
-/// `r` additional attempts that reprocess the split from the beginning; at
-/// `τ_kill` only the attempt with the earliest estimated completion
-/// survives.
-///
-/// # Examples
-///
-/// ```
-/// use chronos_strategies::prelude::*;
-///
-/// let policy = RestartPolicy::new(ChronosPolicyConfig::testbed());
-/// assert_eq!(policy.name(), "s-restart");
-/// ```
-#[derive(Debug, Clone)]
-pub struct RestartPolicy {
-    planner: PolicyPlanner,
-    chosen_r: BTreeMap<u64, u32>,
-}
-
-impl RestartPolicy {
-    /// Creates the policy with the given Chronos configuration. Plans are
-    /// memoized per policy instance; use [`RestartPolicy::with_cache`] to
-    /// share them across policies and shards.
-    #[must_use]
-    pub fn new(config: ChronosPolicyConfig) -> Self {
-        RestartPolicy::from_planner(PolicyPlanner::new(config))
+/// τ_est: launch `r` restarted attempts for every straggling task.
+pub(crate) fn detect_and_speculate(view: &JobView, r: u32) -> Vec<PolicyAction> {
+    if r == 0 {
+        return Vec::new();
     }
-
-    /// Creates the policy over a shared plan cache: every policy instance
-    /// handed a clone of the same `Arc` (e.g. one per shard of a sharded
-    /// replay) solves each distinct job profile once, cluster-wide.
-    #[must_use]
-    pub fn with_cache(config: ChronosPolicyConfig, cache: Arc<PlanCache>) -> Self {
-        RestartPolicy::from_planner(PolicyPlanner::with_cache(config, cache))
-    }
-
-    /// Creates the policy with memoization disabled — the bit-identical
-    /// reference path the scale tests compare the cached paths against.
-    #[must_use]
-    pub fn uncached(config: ChronosPolicyConfig) -> Self {
-        RestartPolicy::from_planner(PolicyPlanner::uncached(config))
-    }
-
-    fn from_planner(planner: PolicyPlanner) -> Self {
-        RestartPolicy {
-            planner,
-            chosen_r: BTreeMap::new(),
+    let mut actions = Vec::new();
+    for task in view.incomplete_tasks() {
+        if is_straggler(task, view) {
+            actions.push(PolicyAction::LaunchExtra {
+                task: task.task,
+                count: r,
+                start_fraction: 0.0,
+            });
         }
     }
-
-    /// The configuration this policy optimizes with.
-    #[must_use]
-    pub fn config(&self) -> &ChronosPolicyConfig {
-        self.planner.config()
-    }
-
-    fn r_for(&self, job: chronos_sim::prelude::JobId) -> u32 {
-        self.chosen_r
-            .get(&job.raw())
-            .copied()
-            .unwrap_or(self.config().fallback_r)
-    }
-}
-
-impl SpeculationPolicy for RestartPolicy {
-    fn name(&self) -> &str {
-        "s-restart"
-    }
-
-    fn on_job_batch(&mut self, jobs: &[JobSubmitView]) -> Result<BatchPlan, SimError> {
-        self.planner
-            .warm_batch(jobs, StrategyKind::SpeculativeRestart);
-        Ok(BatchPlan::default())
-    }
-
-    fn on_job_submit(&mut self, job: &JobSubmitView) -> SubmitDecision {
-        let r = self
-            .planner
-            .optimize_r(job, StrategyKind::SpeculativeRestart);
-        self.chosen_r.insert(job.job.raw(), r);
-        SubmitDecision {
-            extra_clones_per_task: 0,
-            reported_r: Some(r),
-        }
-    }
-
-    fn submit_is_profile_pure(&self) -> bool {
-        // The planned `r` and the `[τ_est, τ_kill]` schedule are functions
-        // of the job profile alone (memoization is wall-clock only).
-        true
-    }
-
-    fn on_job_submit_replayed(&mut self, job: &JobSubmitView, decision: SubmitDecision) {
-        // Mirror the per-job bookkeeping of `on_job_submit` so `r_for`
-        // sees the replayed decision instead of the fallback.
-        if let Some(r) = decision.reported_r {
-            self.chosen_r.insert(job.job.raw(), r);
-        }
-    }
-
-    fn check_schedule(&self, job: &JobSubmitView) -> CheckSchedule {
-        let (tau_est, tau_kill) = self.config().timing.resolve(job.profile.t_min());
-        CheckSchedule::AtOffsets(vec![tau_est, tau_kill])
-    }
-
-    fn on_check(&mut self, view: &JobView) -> Vec<PolicyAction> {
-        match view.check_index {
-            0 => self.detect_and_speculate(view),
-            _ => self.prune_to_fastest(view),
-        }
-    }
-}
-
-impl RestartPolicy {
-    /// τ_est: launch `r` restarted attempts for every straggling task.
-    fn detect_and_speculate(&self, view: &JobView) -> Vec<PolicyAction> {
-        let r = self.r_for(view.job);
-        if r == 0 {
-            return Vec::new();
-        }
-        let mut actions = Vec::new();
-        for task in view.incomplete_tasks() {
-            if is_straggler(task, view) {
-                actions.push(PolicyAction::LaunchExtra {
-                    task: task.task,
-                    count: r,
-                    start_fraction: 0.0,
-                });
-            }
-        }
-        actions
-    }
-
-    /// τ_kill: keep the attempt with the earliest estimated completion.
-    fn prune_to_fastest(&self, view: &JobView) -> Vec<PolicyAction> {
-        let mut actions = Vec::new();
-        for task in view.incomplete_tasks() {
-            if task.active_attempts() <= 1 {
-                continue;
-            }
-            if let Some(best) = prune_keep_candidate(task, view) {
-                actions.push(PolicyAction::KillAllExcept {
-                    task: task.task,
-                    keep: best.attempt,
-                });
-            }
-        }
-        actions
-    }
+    actions
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use chronos_core::Pareto;
-    use chronos_sim::prelude::{AttemptId, AttemptView, JobId, SimTime, TaskId, TaskView};
+    use crate::common::ChronosPolicyConfig;
+    use crate::policy::ChronosPolicy;
+    use chronos_core::{Pareto, StrategyKind};
+    use chronos_sim::prelude::{
+        AttemptId, AttemptView, CheckSchedule, JobId, JobSubmitView, JobView, PolicyAction,
+        SimTime, SpeculationPolicy, TaskId, TaskView,
+    };
+
+    fn policy() -> ChronosPolicy {
+        ChronosPolicy::new(
+            StrategyKind::SpeculativeRestart,
+            ChronosPolicyConfig::testbed(),
+        )
+    }
 
     fn submit_view() -> JobSubmitView {
         JobSubmitView {
@@ -194,13 +63,15 @@ mod tests {
         }
     }
 
-    fn view(check_index: u32, tasks: Vec<TaskView>) -> JobView {
+    /// A check view carrying the job's `r` as the engine hands it back.
+    fn view(check_index: u32, chosen_r: Option<u32>, tasks: Vec<TaskView>) -> JobView {
         JobView {
             job: JobId::new(0),
             submitted_at: SimTime::ZERO,
             deadline_secs: 100.0,
             now: SimTime::from_secs(if check_index == 0 { 40.0 } else { 80.0 }),
             check_index,
+            chosen_r,
             tasks,
             completed_tasks: 0,
             mean_completed_task_duration: None,
@@ -211,16 +82,14 @@ mod tests {
 
     #[test]
     fn submit_launches_no_clones_but_reports_r() {
-        let mut policy = RestartPolicy::new(ChronosPolicyConfig::testbed());
-        let decision = policy.on_job_submit(&submit_view());
+        let decision = policy().on_job_submit(&submit_view());
         assert_eq!(decision.extra_clones_per_task, 0);
         assert!(decision.reported_r.unwrap() >= 1);
     }
 
     #[test]
     fn schedule_has_estimate_and_kill_points() {
-        let policy = RestartPolicy::new(ChronosPolicyConfig::testbed());
-        match policy.check_schedule(&submit_view()) {
+        match policy().check_schedule(&submit_view()) {
             CheckSchedule::AtOffsets(offsets) => assert_eq!(offsets, vec![40.0, 80.0]),
             other => panic!("unexpected schedule {other:?}"),
         }
@@ -228,7 +97,7 @@ mod tests {
 
     #[test]
     fn stragglers_get_r_restarted_attempts() {
-        let mut policy = RestartPolicy::new(ChronosPolicyConfig::testbed());
+        let mut policy = policy();
         let r = policy.on_job_submit(&submit_view()).reported_r.unwrap();
         let tasks = vec![
             TaskView {
@@ -242,7 +111,7 @@ mod tests {
                 attempts: vec![attempt(1, Some(70.0), 0.6)],
             },
         ];
-        let actions = policy.on_check(&view(0, tasks));
+        let actions = policy.on_check(&view(0, Some(r), tasks));
         assert_eq!(actions.len(), 1);
         assert_eq!(
             actions[0],
@@ -256,8 +125,8 @@ mod tests {
 
     #[test]
     fn prune_keeps_earliest_estimate() {
-        let mut policy = RestartPolicy::new(ChronosPolicyConfig::testbed());
-        policy.on_job_submit(&submit_view());
+        let mut policy = policy();
+        let r = policy.on_job_submit(&submit_view()).reported_r;
         let tasks = vec![TaskView {
             task: TaskId::new(0),
             completed: false,
@@ -267,7 +136,7 @@ mod tests {
                 attempt(2, Some(120.0), 0.4),
             ],
         }];
-        let actions = policy.on_check(&view(1, tasks));
+        let actions = policy.on_check(&view(1, r, tasks));
         assert_eq!(
             actions,
             vec![PolicyAction::KillAllExcept {
@@ -279,21 +148,34 @@ mod tests {
 
     #[test]
     fn single_attempt_tasks_are_left_alone_at_kill() {
-        let mut policy = RestartPolicy::new(ChronosPolicyConfig::testbed());
-        policy.on_job_submit(&submit_view());
+        let mut policy = policy();
+        let r = policy.on_job_submit(&submit_view()).reported_r;
         let tasks = vec![TaskView {
             task: TaskId::new(0),
             completed: false,
             attempts: vec![attempt(0, Some(90.0), 0.8)],
         }];
-        assert!(policy.on_check(&view(1, tasks)).is_empty());
+        assert!(policy.on_check(&view(1, r, tasks)).is_empty());
     }
 
     #[test]
     fn unknown_job_uses_fallback_r() {
-        // A check arriving for a job the policy never saw submitted (e.g.
-        // after a policy restart) still behaves sensibly.
-        let policy = RestartPolicy::new(ChronosPolicyConfig::testbed());
-        assert_eq!(policy.r_for(JobId::new(99)), 1);
+        // A check whose job carries no `r` (its decision reported none)
+        // still behaves sensibly: stragglers get `fallback_r` attempts.
+        let mut policy = policy();
+        assert_eq!(policy.config().fallback_r, 1);
+        let tasks = vec![TaskView {
+            task: TaskId::new(0),
+            completed: false,
+            attempts: vec![attempt(0, Some(150.0), 0.2)],
+        }];
+        assert_eq!(
+            policy.on_check(&view(0, None, tasks)),
+            vec![PolicyAction::LaunchExtra {
+                task: TaskId::new(0),
+                count: 1,
+                start_fraction: 0.0,
+            }]
+        );
     }
 }

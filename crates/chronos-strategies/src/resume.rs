@@ -2,121 +2,30 @@
 //! at `τ_est`, kill them, and launch `r + 1` fresh attempts that resume from
 //! the Eq. 31 byte offset; keep the fastest attempt at `τ_kill`.
 
-use crate::common::{is_straggler, prune_keep_candidate, ChronosPolicyConfig, PolicyPlanner};
-use chronos_core::StrategyKind;
-use chronos_sim::prelude::{
-    BatchPlan, CheckSchedule, JobSubmitView, JobView, PlanCache, PolicyAction, SimError,
-    SpeculationPolicy, SubmitDecision, TaskView,
-};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use crate::common::is_straggler;
+use chronos_sim::prelude::{JobView, PolicyAction, TaskView};
 
-/// The work-preserving reactive policy.
-///
-/// Straggler detection is identical to Speculative-Restart, but the detected
-/// straggler is killed and `r + 1` replacement attempts are launched that
-/// skip the data already processed. The hand-off offset includes the
-/// progress the original would have made while the replacements' JVMs start
-/// (Eq. 31), so no work is reprocessed and no gap is left.
-///
-/// # Examples
-///
-/// ```
-/// use chronos_strategies::prelude::*;
-///
-/// let policy = ResumePolicy::new(ChronosPolicyConfig::testbed());
-/// assert_eq!(policy.name(), "s-resume");
-/// ```
-#[derive(Debug, Clone)]
-pub struct ResumePolicy {
-    planner: PolicyPlanner,
-    chosen_r: BTreeMap<u64, u32>,
-}
-
-impl ResumePolicy {
-    /// Creates the policy with the given Chronos configuration. Plans are
-    /// memoized per policy instance; use [`ResumePolicy::with_cache`] to
-    /// share them across policies and shards.
-    #[must_use]
-    pub fn new(config: ChronosPolicyConfig) -> Self {
-        ResumePolicy::from_planner(PolicyPlanner::new(config))
-    }
-
-    /// Creates the policy over a shared plan cache: every policy instance
-    /// handed a clone of the same `Arc` (e.g. one per shard of a sharded
-    /// replay) solves each distinct job profile once, cluster-wide.
-    #[must_use]
-    pub fn with_cache(config: ChronosPolicyConfig, cache: Arc<PlanCache>) -> Self {
-        ResumePolicy::from_planner(PolicyPlanner::with_cache(config, cache))
-    }
-
-    /// Creates the policy with memoization disabled — the bit-identical
-    /// reference path the scale tests compare the cached paths against.
-    #[must_use]
-    pub fn uncached(config: ChronosPolicyConfig) -> Self {
-        ResumePolicy::from_planner(PolicyPlanner::uncached(config))
-    }
-
-    fn from_planner(planner: PolicyPlanner) -> Self {
-        ResumePolicy {
-            planner,
-            chosen_r: BTreeMap::new(),
+/// τ_est: kill the straggling original and relaunch `r + 1` resumed
+/// attempts from the estimated hand-off offset.
+pub(crate) fn replace_stragglers(view: &JobView, r: u32) -> Vec<PolicyAction> {
+    let mut actions = Vec::new();
+    for task in view.incomplete_tasks() {
+        if !is_straggler(task, view) {
+            continue;
         }
-    }
-
-    /// The configuration this policy optimizes with.
-    #[must_use]
-    pub fn config(&self) -> &ChronosPolicyConfig {
-        self.planner.config()
-    }
-
-    fn r_for(&self, job: chronos_sim::prelude::JobId) -> u32 {
-        self.chosen_r
-            .get(&job.raw())
-            .copied()
-            .unwrap_or(self.config().fallback_r)
-    }
-
-    /// τ_est: kill the straggling original and relaunch `r + 1` resumed
-    /// attempts from the estimated hand-off offset.
-    fn replace_stragglers(&self, view: &JobView) -> Vec<PolicyAction> {
-        let r = self.r_for(view.job);
-        let mut actions = Vec::new();
-        for task in view.incomplete_tasks() {
-            if !is_straggler(task, view) {
-                continue;
-            }
-            let offset = resume_offset_for(task);
-            for attempt in task.attempts.iter().filter(|a| a.active) {
-                actions.push(PolicyAction::Kill {
-                    attempt: attempt.attempt,
-                });
-            }
-            actions.push(PolicyAction::LaunchExtra {
-                task: task.task,
-                count: r + 1,
-                start_fraction: offset,
+        let offset = resume_offset_for(task);
+        for attempt in task.attempts.iter().filter(|a| a.active) {
+            actions.push(PolicyAction::Kill {
+                attempt: attempt.attempt,
             });
         }
-        actions
+        actions.push(PolicyAction::LaunchExtra {
+            task: task.task,
+            count: r + 1,
+            start_fraction: offset,
+        });
     }
-
-    /// τ_kill: keep the attempt with the earliest estimated completion.
-    fn prune_to_fastest(&self, view: &JobView) -> Vec<PolicyAction> {
-        let mut actions = Vec::new();
-        for task in view.incomplete_tasks() {
-            if task.active_attempts() <= 1 {
-                continue;
-            }
-            if let Some(best) = prune_keep_candidate(task, view) {
-                actions.push(PolicyAction::KillAllExcept {
-                    task: task.task,
-                    keep: best.attempt,
-                });
-            }
-        }
-        actions
-    }
+    actions
 }
 
 /// The Eq. 31 offset for a task: the resume-offset hint of its most advanced
@@ -130,60 +39,23 @@ fn resume_offset_for(task: &TaskView) -> f64 {
         .clamp(0.0, 0.999)
 }
 
-impl SpeculationPolicy for ResumePolicy {
-    fn name(&self) -> &str {
-        "s-resume"
-    }
-
-    fn on_job_batch(&mut self, jobs: &[JobSubmitView]) -> Result<BatchPlan, SimError> {
-        self.planner
-            .warm_batch(jobs, StrategyKind::SpeculativeResume);
-        Ok(BatchPlan::default())
-    }
-
-    fn on_job_submit(&mut self, job: &JobSubmitView) -> SubmitDecision {
-        let r = self
-            .planner
-            .optimize_r(job, StrategyKind::SpeculativeResume);
-        self.chosen_r.insert(job.job.raw(), r);
-        SubmitDecision {
-            extra_clones_per_task: 0,
-            reported_r: Some(r),
-        }
-    }
-
-    fn submit_is_profile_pure(&self) -> bool {
-        // The planned `r` and the `[τ_est, τ_kill]` schedule are functions
-        // of the job profile alone (memoization is wall-clock only).
-        true
-    }
-
-    fn on_job_submit_replayed(&mut self, job: &JobSubmitView, decision: SubmitDecision) {
-        // Mirror the per-job bookkeeping of `on_job_submit` so `r_for`
-        // sees the replayed decision instead of the fallback.
-        if let Some(r) = decision.reported_r {
-            self.chosen_r.insert(job.job.raw(), r);
-        }
-    }
-
-    fn check_schedule(&self, job: &JobSubmitView) -> CheckSchedule {
-        let (tau_est, tau_kill) = self.config().timing.resolve(job.profile.t_min());
-        CheckSchedule::AtOffsets(vec![tau_est, tau_kill])
-    }
-
-    fn on_check(&mut self, view: &JobView) -> Vec<PolicyAction> {
-        match view.check_index {
-            0 => self.replace_stragglers(view),
-            _ => self.prune_to_fastest(view),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chronos_core::Pareto;
-    use chronos_sim::prelude::{AttemptId, AttemptView, JobId, SimTime, TaskId};
+    use crate::common::ChronosPolicyConfig;
+    use crate::policy::ChronosPolicy;
+    use chronos_core::{Pareto, StrategyKind};
+    use chronos_sim::prelude::{
+        AttemptId, AttemptView, CheckSchedule, JobId, JobSubmitView, SimTime, SpeculationPolicy,
+        TaskId,
+    };
+
+    fn policy() -> ChronosPolicy {
+        ChronosPolicy::new(
+            StrategyKind::SpeculativeResume,
+            ChronosPolicyConfig::testbed(),
+        )
+    }
 
     fn submit_view() -> JobSubmitView {
         JobSubmitView {
@@ -208,13 +80,15 @@ mod tests {
         }
     }
 
-    fn view(check_index: u32, tasks: Vec<TaskView>) -> JobView {
+    /// A check view carrying the job's `r` as the engine hands it back.
+    fn view(check_index: u32, chosen_r: Option<u32>, tasks: Vec<TaskView>) -> JobView {
         JobView {
             job: JobId::new(0),
             submitted_at: SimTime::ZERO,
             deadline_secs: 100.0,
             now: SimTime::from_secs(if check_index == 0 { 40.0 } else { 80.0 }),
             check_index,
+            chosen_r,
             tasks,
             completed_tasks: 0,
             mean_completed_task_duration: None,
@@ -225,22 +99,21 @@ mod tests {
 
     #[test]
     fn submit_reports_r_without_clones() {
-        let mut policy = ResumePolicy::new(ChronosPolicyConfig::testbed());
-        let decision = policy.on_job_submit(&submit_view());
+        let decision = policy().on_job_submit(&submit_view());
         assert_eq!(decision.extra_clones_per_task, 0);
         assert!(decision.reported_r.unwrap() >= 1);
     }
 
     #[test]
     fn straggler_is_killed_and_replaced_with_resumed_attempts() {
-        let mut policy = ResumePolicy::new(ChronosPolicyConfig::testbed());
+        let mut policy = policy();
         let r = policy.on_job_submit(&submit_view()).reported_r.unwrap();
         let tasks = vec![TaskView {
             task: TaskId::new(0),
             completed: false,
             attempts: vec![attempt(0, Some(160.0), 0.25, 0.31)],
         }];
-        let actions = policy.on_check(&view(0, tasks));
+        let actions = policy.on_check(&view(0, Some(r), tasks));
         assert_eq!(actions.len(), 2);
         assert_eq!(
             actions[0],
@@ -260,20 +133,20 @@ mod tests {
 
     #[test]
     fn healthy_tasks_are_untouched() {
-        let mut policy = ResumePolicy::new(ChronosPolicyConfig::testbed());
-        policy.on_job_submit(&submit_view());
+        let mut policy = policy();
+        let r = policy.on_job_submit(&submit_view()).reported_r;
         let tasks = vec![TaskView {
             task: TaskId::new(0),
             completed: false,
             attempts: vec![attempt(0, Some(90.0), 0.5, 0.55)],
         }];
-        assert!(policy.on_check(&view(0, tasks)).is_empty());
+        assert!(policy.on_check(&view(0, r, tasks)).is_empty());
     }
 
     #[test]
     fn prune_keeps_earliest_estimated_completion() {
-        let mut policy = ResumePolicy::new(ChronosPolicyConfig::testbed());
-        policy.on_job_submit(&submit_view());
+        let mut policy = policy();
+        let r = policy.on_job_submit(&submit_view()).reported_r;
         let tasks = vec![TaskView {
             task: TaskId::new(0),
             completed: false,
@@ -282,7 +155,7 @@ mod tests {
                 attempt(1, Some(95.0), 0.5, 0.5),
             ],
         }];
-        let actions = policy.on_check(&view(1, tasks));
+        let actions = policy.on_check(&view(1, r, tasks));
         assert_eq!(
             actions,
             vec![PolicyAction::KillAllExcept {
@@ -310,7 +183,8 @@ mod tests {
 
     #[test]
     fn schedule_matches_timing() {
-        let policy = ResumePolicy::new(
+        let policy = ChronosPolicy::new(
+            StrategyKind::SpeculativeResume,
             ChronosPolicyConfig::testbed()
                 .with_timing(crate::timing::StrategyTiming::of_tmin(0.3, 0.8)),
         );

@@ -8,56 +8,16 @@
 //! seeds each property from its name, so every run explores the same
 //! mutants.
 
+mod mutator;
+
 use chronos_sim::prelude::JobSpec;
 use chronos_trace::prelude::{TraceLoader, TraceParseError, TraceWriter};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const FIXTURE: &[u8] = include_bytes!(concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../chronos-bench/tests/golden/google2011_converted.trace"
 ));
-
-/// Bytes the mutator favours: the format's separators, number syntax and
-/// JSON punctuation, plus a byte that is never valid UTF-8.
-const ALPHABET: &[u8] = b"0123456789,;.-+eE \n\r\"{}:naif\xff";
-
-/// The fixture with one to eight random edits, drawn from `seed`.
-fn mutate(seed: u64) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut bytes = FIXTURE.to_vec();
-    for _ in 0..rng.gen_range(1..=8u32) {
-        let at = rng.gen_range(0..bytes.len());
-        let byte = if rng.gen_bool(0.75) {
-            ALPHABET[rng.gen_range(0..ALPHABET.len())]
-        } else {
-            rng.gen_range(0..=u8::MAX)
-        };
-        match rng.gen_range(0..5u32) {
-            0 => bytes[at] = byte,
-            1 => bytes.insert(at, byte),
-            2 => {
-                bytes.remove(at);
-            }
-            3 => {
-                // Integers past every column's range.
-                let digits: Vec<u8> = (0..rng.gen_range(1..=24u32))
-                    .map(|_| b'0' + rng.gen_range(0..10u8))
-                    .collect();
-                bytes.splice(at..at, digits);
-            }
-            _ => {
-                // Repeated rows, ids and separators.
-                let from = rng.gen_range(0..bytes.len());
-                let len = rng.gen_range(0..=64usize).min(bytes.len() - from);
-                let slice = bytes[from..from + len].to_vec();
-                bytes.splice(at..at, slice);
-            }
-        }
-    }
-    bytes
-}
 
 fn load(bytes: &[u8]) -> Result<Vec<JobSpec>, TraceParseError> {
     TraceLoader::from_reader(bytes)?.load()
@@ -74,7 +34,7 @@ proptest! {
 
     #[test]
     fn mutated_traces_are_rejected_by_line_or_round_trip(seed in 0..u64::MAX) {
-        let bytes = mutate(seed);
+        let bytes = mutator::mutate(FIXTURE, seed);
         match load(&bytes) {
             Err(err) => {
                 // A file without a final newline can be truncated one line

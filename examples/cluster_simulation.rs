@@ -40,7 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policies: Vec<Box<dyn SpeculationPolicy>> = vec![
         Box::new(HadoopNoSpec::default()),
         Box::new(MantriPolicy::default()),
-        Box::new(ResumePolicy::new(chronos_config)),
+        Box::new(ChronosPolicy::new(
+            StrategyKind::SpeculativeResume,
+            chronos_config,
+        )),
     ];
 
     println!(

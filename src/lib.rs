@@ -74,9 +74,9 @@ pub mod prelude {
         Simulation, SimulationReport, SpeculationPolicy, TaskSpec,
     };
     pub use chronos_strategies::prelude::{
-        BudgetedPolicy, ChronosPolicyConfig, ClonePolicy, HadoopNoSpec, HadoopSpeculate,
+        BudgetedPolicy, ChronosPolicy, ChronosPolicyConfig, HadoopNoSpec, HadoopSpeculate,
         MantriPolicy, ParsePolicyKindError, PolicyBuildError, PolicyBuilder, PolicyKind,
-        PolicyPlanner, RestartPolicy, ResumePolicy, StrategyTiming, Timing,
+        PolicyPlanner, StrategyTiming, Timing,
     };
     pub use chronos_trace::prelude::{
         converter_for, write_trace, Benchmark, CensusSummary, ContentionLevel, ContentionModel,

@@ -49,11 +49,7 @@ fn run_fixed_r(kind: chronos_core::StrategyKind, r: u32, seed: u64) -> Simulatio
     let config = ChronosPolicyConfig::testbed()
         .with_timing(StrategyTiming::of_tmin(0.3, 0.6))
         .with_fixed_r(r);
-    let policy: Box<dyn SpeculationPolicy> = match kind {
-        chronos_core::StrategyKind::Clone => Box::new(ClonePolicy::new(config)),
-        chronos_core::StrategyKind::SpeculativeRestart => Box::new(RestartPolicy::new(config)),
-        chronos_core::StrategyKind::SpeculativeResume => Box::new(ResumePolicy::new(config)),
-    };
+    let policy = Box::new(ChronosPolicy::new(kind, config));
     let mut sim = Simulation::new(SimConfig::analysis_validation(seed), policy).unwrap();
     sim.submit_all(validation_jobs(seed)).unwrap();
     sim.run().unwrap()

@@ -40,16 +40,26 @@ fn figure2_ordering_chronos_beats_baselines() {
     let hadoop_ns = run(Box::new(HadoopNoSpec::default()), jobs.clone(), &config);
     let hadoop_s = run(Box::new(HadoopSpeculate::default()), jobs.clone(), &config);
     let clone = run(
-        Box::new(ClonePolicy::new(chronos_config)),
+        Box::new(ChronosPolicy::new(StrategyKind::Clone, chronos_config)),
         jobs.clone(),
         &config,
     );
     let restart = run(
-        Box::new(RestartPolicy::new(chronos_config)),
+        Box::new(ChronosPolicy::new(
+            StrategyKind::SpeculativeRestart,
+            chronos_config,
+        )),
         jobs.clone(),
         &config,
     );
-    let resume = run(Box::new(ResumePolicy::new(chronos_config)), jobs, &config);
+    let resume = run(
+        Box::new(ChronosPolicy::new(
+            StrategyKind::SpeculativeResume,
+            chronos_config,
+        )),
+        jobs,
+        &config,
+    );
 
     // PoCD ordering (Figure 2a): Hadoop-NS is the floor.
     for (name, report) in [
@@ -101,7 +111,14 @@ fn figure3_mantri_is_expensive() {
         .with_timing(StrategyTiming::trace_default());
 
     let mantri = run(Box::new(MantriPolicy::default()), jobs.clone(), &config);
-    let resume = run(Box::new(ResumePolicy::new(chronos_config)), jobs, &config);
+    let resume = run(
+        Box::new(ChronosPolicy::new(
+            StrategyKind::SpeculativeResume,
+            chronos_config,
+        )),
+        jobs,
+        &config,
+    );
 
     assert!(mantri.pocd() >= 0.9);
     assert!(
@@ -140,7 +157,8 @@ fn figure5_histogram_shifts_down_with_theta() {
     };
     let timing = StrategyTiming::trace_default();
     let cheap = run(
-        Box::new(ResumePolicy::new(
+        Box::new(ChronosPolicy::new(
+            StrategyKind::SpeculativeResume,
             ChronosPolicyConfig::with_theta(1e-5)
                 .unwrap()
                 .with_timing(timing),
@@ -149,7 +167,8 @@ fn figure5_histogram_shifts_down_with_theta() {
         &config,
     );
     let pricey = run(
-        Box::new(ResumePolicy::new(
+        Box::new(ChronosPolicy::new(
+            StrategyKind::SpeculativeResume,
             ChronosPolicyConfig::with_theta(1e-3)
                 .unwrap()
                 .with_timing(timing),
@@ -191,12 +210,18 @@ fn figure4_heavier_tails_cost_more() {
         .unwrap()
         .into_jobs();
     let heavy = run(
-        Box::new(ResumePolicy::new(chronos_config)),
+        Box::new(ChronosPolicy::new(
+            StrategyKind::SpeculativeResume,
+            chronos_config,
+        )),
         heavy_jobs,
         &config,
     );
     let light = run(
-        Box::new(ResumePolicy::new(chronos_config)),
+        Box::new(ChronosPolicy::new(
+            StrategyKind::SpeculativeResume,
+            chronos_config,
+        )),
         light_jobs,
         &config,
     );
@@ -215,11 +240,15 @@ fn simulation_reports_are_reproducible() {
     let config = testbed_config(8);
     let chronos_config = ChronosPolicyConfig::testbed();
     let a = run(
-        Box::new(ClonePolicy::new(chronos_config)),
+        Box::new(ChronosPolicy::new(StrategyKind::Clone, chronos_config)),
         jobs.clone(),
         &config,
     );
-    let b = run(Box::new(ClonePolicy::new(chronos_config)), jobs, &config);
+    let b = run(
+        Box::new(ChronosPolicy::new(StrategyKind::Clone, chronos_config)),
+        jobs,
+        &config,
+    );
     assert_eq!(a, b);
 }
 

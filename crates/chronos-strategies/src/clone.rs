@@ -1,5 +1,29 @@
 //! The Clone strategy (Section III / VI.A): launch `r + 1` attempts of every
 //! task at submission, prune to the best-progress attempt at `τ_kill`.
+//!
+//! # Examples
+//!
+//! ```
+//! use chronos_core::{Pareto, StrategyKind};
+//! use chronos_sim::prelude::{CheckSchedule, JobId, JobSubmitView, SpeculationPolicy};
+//! use chronos_strategies::prelude::*;
+//!
+//! let mut policy = ChronosPolicy::new(StrategyKind::Clone, ChronosPolicyConfig::testbed());
+//! assert_eq!(policy.name(), "clone");
+//! let job = JobSubmitView {
+//!     job: JobId::new(0),
+//!     task_count: 10,
+//!     deadline_secs: 100.0,
+//!     price: 1.0,
+//!     profile: Pareto::new(20.0, 1.5).unwrap(),
+//! };
+//! // The `r` extra copies of every task launch at submission...
+//! let decision = policy.on_job_submit(&job);
+//! assert!(decision.extra_clones_per_task >= 1);
+//! assert_eq!(decision.reported_r, Some(decision.extra_clones_per_task));
+//! // ...and the only check point is τ_kill.
+//! assert_eq!(policy.check_schedule(&job), CheckSchedule::AtOffsets(vec![80.0]));
+//! ```
 
 use chronos_sim::prelude::{JobView, PolicyAction};
 

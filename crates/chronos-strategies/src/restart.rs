@@ -1,6 +1,35 @@
 //! The Speculative-Restart strategy (Section III / VI.B.1): detect
 //! stragglers at `τ_est`, launch `r` extra attempts from byte zero, keep the
 //! fastest attempt at `τ_kill`.
+//!
+//! # Examples
+//!
+//! ```
+//! use chronos_core::{Pareto, StrategyKind};
+//! use chronos_sim::prelude::{CheckSchedule, JobId, JobSubmitView, SpeculationPolicy};
+//! use chronos_strategies::prelude::*;
+//!
+//! let mut policy = ChronosPolicy::new(
+//!     StrategyKind::SpeculativeRestart,
+//!     ChronosPolicyConfig::testbed(),
+//! );
+//! assert_eq!(policy.name(), "s-restart");
+//! let job = JobSubmitView {
+//!     job: JobId::new(0),
+//!     task_count: 10,
+//!     deadline_secs: 100.0,
+//!     price: 1.0,
+//!     profile: Pareto::new(20.0, 1.5).unwrap(),
+//! };
+//! // Nothing extra launches at submission; the chosen `r` waits for τ_est.
+//! let decision = policy.on_job_submit(&job);
+//! assert_eq!(decision.extra_clones_per_task, 0);
+//! assert!(decision.reported_r.unwrap() >= 1);
+//! assert_eq!(
+//!     policy.check_schedule(&job),
+//!     CheckSchedule::AtOffsets(vec![40.0, 80.0])
+//! );
+//! ```
 
 use crate::common::is_straggler;
 use chronos_sim::prelude::{JobView, PolicyAction};

@@ -21,6 +21,13 @@ echo "== trace-replay-smoke =="
 "$TT" replay --jobs 2000 --seed 91 --workers 1 --out "$WORK/report_memory.json"
 cmp "$WORK/report_file.json" "$WORK/report_memory.json"
 
+# Without --out the report streams to stdout, followed by the summary
+# lines; everything up to the top-level closing brace must be the --out
+# file's bytes.
+"$TT" replay --trace "$WORK/smoke.trace" --workers 8 > "$WORK/report_stdout.txt"
+sed -n '1,/^}$/p' "$WORK/report_stdout.txt" > "$WORK/report_stdout.json"
+cmp "$WORK/report_file.json" "$WORK/report_stdout.json"
+
 # A truncated trace must fail with the typed truncation error (not any
 # nonzero exit) and write no report for the prefix.
 head -n -1 "$WORK/smoke.trace" > "$WORK/truncated.trace"

@@ -83,11 +83,14 @@
 //! be budgeted; a finite budget on a baseline is a usage error.
 
 use chronos_bench::format as fmt;
+use chronos_bench::report_json::{write_report_json, JsonStyle};
 use chronos_serve::prelude::*;
 use chronos_sim::prelude::*;
 use chronos_strategies::prelude::*;
 use chronos_trace::prelude::*;
 use std::convert::Infallible;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -176,12 +179,20 @@ fn generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Writes the report's pretty JSON and a trailing newline to the `out`
+/// file, or to stdout when there is none, streamed one job at a time
+/// through a buffer.
 fn write_report(report: &SimulationReport, out: Option<&Path>) -> Result<(), String> {
-    let json =
-        serde_json::to_string_pretty(report).map_err(|err| format!("serializing report: {err}"))?;
+    fn stream(report: &SimulationReport, sink: impl Write) -> std::io::Result<()> {
+        let mut sink = BufWriter::new(sink);
+        write_report_json(report, JsonStyle::Pretty, &mut sink)?;
+        sink.write_all(b"\n")?;
+        sink.flush()
+    }
     match out {
         Some(path) => {
-            std::fs::write(path, json + "\n")
+            File::create(path)
+                .and_then(|file| stream(report, file))
                 .map_err(|err| format!("writing {}: {err}", path.display()))?;
             println!(
                 "replayed {} jobs ({} events dispatched, {} stale) -> {}",
@@ -191,7 +202,8 @@ fn write_report(report: &SimulationReport, out: Option<&Path>) -> Result<(), Str
                 path.display()
             );
         }
-        None => println!("{json}"),
+        None => stream(report, std::io::stdout().lock())
+            .map_err(|err| format!("writing the report to stdout: {err}"))?,
     }
     Ok(())
 }

@@ -26,6 +26,7 @@
 #![deny(unsafe_code)]
 
 pub mod format;
+pub mod report_json;
 
 use chronos_sim::prelude::*;
 use chronos_strategies::prelude::*;
@@ -572,11 +573,15 @@ pub fn figure3_lineup_cached(
 /// `tests/pinned_workload.rs`, `perfbench`'s fingerprint): a drifted digest
 /// means the replay no longer reproduces the reference simulation byte for
 /// byte.
+///
+/// The hashed bytes are exactly `serde_json::to_string(report)`. They are
+/// streamed into the digest by [`report_json::write_report_json`] one job
+/// at a time, so no JSON tree or string of the whole report is built.
 #[must_use]
 pub fn report_digest(report: &SimulationReport) -> String {
-    let json = serde_json::to_string(report).expect("reports serialize");
     let mut digest = Digest::default();
-    digest.write(json.as_bytes());
+    report_json::write_report_json(report, report_json::JsonStyle::Compact, &mut digest)
+        .expect("hashing into a digest cannot fail");
     digest.finish_hex()
 }
 

@@ -27,6 +27,19 @@ impl Digest {
     }
 }
 
+/// Lets a digest be the sink of any byte writer (for example a streamed
+/// JSON report), hashing the bytes without buffering them.
+impl std::io::Write for Digest {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        Digest::write(self, bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 impl Default for Digest {
     /// An empty digest (the FNV-1a 64 offset basis).
     fn default() -> Self {
@@ -54,5 +67,9 @@ mod tests {
         split.write(b"foo");
         split.write(b"bar");
         assert_eq!(split.finish_hex(), hex(b"foobar"));
+        // As an `io::Write` sink it hashes exactly the bytes written.
+        let mut sink = Digest::default();
+        std::io::Write::write_all(&mut sink, b"foobar").unwrap();
+        assert_eq!(sink.finish_hex(), hex(b"foobar"));
     }
 }

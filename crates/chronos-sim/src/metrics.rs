@@ -13,7 +13,16 @@
 //! threads. Everything a report accumulates is therefore either keyed
 //! (per-job metrics in a [`BTreeMap`]), an order-insensitive reduction
 //! (sums, maxima, element-wise histogram addition) or a set union (the
-//! policy label).
+//! policy label). Folding many reports goes through the crate-private
+//! `ReportFold`, which keeps the per-job metrics in one id-sorted run, so
+//! the fold is linear in the total job count instead of re-building the
+//! map per report.
+//!
+//! A report's serialized form is its derived JSON: the head fields in
+//! declaration order, with `jobs` as an object keyed by the decimal job id
+//! in ascending order. Report digests hash exactly the compact bytes of
+//! that form; `chronos-bench` writes them one [`JobMetrics`] at a time, so
+//! no JSON tree or string of a whole report is ever built.
 
 use crate::error::SimError;
 use crate::ids::JobId;
@@ -458,7 +467,8 @@ impl SimulationReport {
     }
 
     /// Folds any number of reports into one, starting from the identity
-    /// (default) report.
+    /// (default) report. Equal to merging them pairwise in iteration
+    /// order, in time linear in the total job count.
     ///
     /// # Errors
     ///
@@ -467,11 +477,11 @@ impl SimulationReport {
     where
         I: IntoIterator<Item = SimulationReport>,
     {
-        let mut aggregate = SimulationReport::default();
+        let mut fold = ReportFold::default();
         for report in reports {
-            aggregate.merge(report)?;
+            fold.push(report)?;
         }
-        Ok(aggregate)
+        Ok(fold.finish())
     }
 
     /// PoCD: the fraction of jobs that completed before their deadline.
@@ -579,6 +589,102 @@ impl SimulationReport {
             .count();
         unfinished as f64 / self.jobs.len() as f64
     }
+}
+
+/// A left fold of reports under [`SimulationReport::merge`] that stays
+/// linear in the total job count.
+///
+/// Pairwise `merge` re-balances the whole id-keyed tree on every call, so
+/// folding `k` shards costs O(k · jobs). This fold keeps per-job metrics in
+/// one id-sorted `Vec` instead: a report whose first id lies above the
+/// running last id (a chunked source's contiguous blocks) is appended in
+/// O(its jobs), any other report is sort-merged in, and the `BTreeMap` is
+/// built once by [`ReportFold::finish`]. The aggregates go through `merge`
+/// itself, so the result equals the pairwise fold bit for bit, errors
+/// included.
+#[derive(Debug, Default)]
+pub(crate) struct ReportFold {
+    /// The merged aggregates; its `jobs` map stays empty until `finish`.
+    totals: SimulationReport,
+    /// Per-job metrics of every pushed report, ascending by id.
+    jobs: Vec<(JobId, JobMetrics)>,
+}
+
+impl ReportFold {
+    /// Merges `report` into the fold.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MergeConflict`] naming the smallest id `report` shares
+    /// with the reports pushed before it, exactly as
+    /// [`SimulationReport::merge`] would. The fold is then left unchanged.
+    pub(crate) fn push(&mut self, report: SimulationReport) -> Result<(), SimError> {
+        let SimulationReport {
+            policy,
+            jobs,
+            events_dispatched,
+            events_stale,
+            ended_at,
+            latency,
+        } = report;
+        let ascending = match (self.jobs.last(), jobs.first_key_value()) {
+            (Some((last, _)), Some((first, _))) => first > last,
+            _ => true,
+        };
+        if ascending {
+            self.jobs.extend(jobs);
+        } else {
+            self.jobs = sort_merge(&self.jobs, jobs.into_iter().collect())?;
+        }
+        self.totals.merge(SimulationReport {
+            policy,
+            jobs: BTreeMap::new(),
+            events_dispatched,
+            events_stale,
+            ended_at,
+            latency,
+        })
+    }
+
+    /// The folded report. Builds the job map from the sorted run in one
+    /// linear pass.
+    pub(crate) fn finish(self) -> SimulationReport {
+        SimulationReport {
+            jobs: self.jobs.into_iter().collect(),
+            ..self.totals
+        }
+    }
+}
+
+/// Merges two id-sorted runs into one, failing on the first (smallest)
+/// shared id.
+fn sort_merge(
+    left: &[(JobId, JobMetrics)],
+    right: Vec<(JobId, JobMetrics)>,
+) -> Result<Vec<(JobId, JobMetrics)>, SimError> {
+    let mut merged = Vec::with_capacity(left.len() + right.len());
+    let (mut i, mut j) = (0, 0);
+    while i < left.len() && j < right.len() {
+        match left[i].0.cmp(&right[j].0) {
+            std::cmp::Ordering::Less => {
+                merged.push(left[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                merged.push(right[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                return Err(SimError::merge_conflict(format!(
+                    "both reports contain {}",
+                    right[j].0
+                )));
+            }
+        }
+    }
+    merged.extend_from_slice(&left[i..]);
+    merged.extend_from_slice(&right[j..]);
+    Ok(merged)
 }
 
 /// The `+`-joined sorted union of two policy-label sets. Treating the label

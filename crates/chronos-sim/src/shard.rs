@@ -22,9 +22,14 @@
 //!    shared queue, so which thread runs which shard (and in what order) is
 //!    scheduling-dependent — but shard inputs, seeds and simulations do not
 //!    depend on the worker, and per-shard reports are merged **in shard
-//!    index order** after all workers finish. Together with
+//!    index order**: each shard's report (and decision trace) is folded as
+//!    soon as every lower-index shard has been, and a shard that finishes
+//!    early waits, parked, for its turn. Together with
 //!    [`SimulationReport::merge`] being associative and commutative, the
-//!    merged report is bit-identical for 1, 2 or 64 workers.
+//!    merged report is bit-identical for 1, 2 or 64 workers. The fold keeps
+//!    per-job metrics in one id-sorted run and builds the report's job map
+//!    once at the end, so it is linear in the job count; finished reports
+//!    do not pile up until the last shard is done.
 //! 3. **Changing the shard count is a different experiment.** Re-sharding
 //!    re-partitions jobs over different RNG streams, so reports for
 //!    different shard counts legitimately differ — exactly like changing
@@ -54,10 +59,11 @@ use crate::config::SimConfig;
 use crate::engine::Simulation;
 use crate::error::SimError;
 use crate::job::JobSpec;
-use crate::metrics::SimulationReport;
+use crate::metrics::{ReportFold, SimulationReport};
 use crate::policy::SpeculationPolicy;
 use chronos_obs::{DecisionTrace, TraceEvent};
 use chronos_plan::{CacheStats, PlanCache};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -310,9 +316,13 @@ impl ShardedRunner {
 
     /// The worker-pool core of [`ShardedRunner::run`]. `trace` is `None` to
     /// leave recording off or `Some(capacity)` to record with the given
-    /// per-shard ring bound. Traces are folded in the same sorted
-    /// shard-index order as the reports, so the merged trace inherits the
-    /// reports' worker-count invariance.
+    /// per-shard ring bound.
+    ///
+    /// The fold is eager: a finished shard is folded, report and trace, as
+    /// soon as every lower-index shard has been, and a shard that finishes
+    /// early is parked until its turn. Folding in shard-index order gives
+    /// the merged report and trace their worker-count invariance, and only
+    /// the out-of-order finishers are held in memory at once.
     fn run_shards<I>(
         &self,
         workers: usize,
@@ -323,13 +333,12 @@ impl ShardedRunner {
     where
         I: Iterator<Item = Vec<JobSpec>> + Send,
     {
-        type ShardOutcome = Result<(SimulationReport, Option<DecisionTrace>), SimError>;
         let queue = Mutex::new(chunks.enumerate());
-        let results: Mutex<Vec<(usize, ShardOutcome)>> = Mutex::new(Vec::new());
+        let fold = Mutex::new(ShardFold::new(trace));
         // Once any shard fails, stop pulling new chunks: a million-job run
         // should not simulate 63 healthy shards to report shard 0's invalid
         // spec. Shards already running finish normally, which keeps error
-        // selection deterministic (see below).
+        // selection deterministic (see `ShardFold`).
         let abort = AtomicBool::new(false);
 
         std::thread::scope(|scope| {
@@ -344,43 +353,18 @@ impl ShardedRunner {
                             break;
                         };
                         let outcome = self.run_shard(index as u64, jobs, build_policy, trace);
-                        if outcome.is_err() {
+                        let failed = outcome.is_err();
+                        let mut fold = fold.lock().expect("fold lock poisoned");
+                        fold.offer(index, outcome);
+                        if failed || fold.failed() {
                             abort.store(true, Ordering::Relaxed);
                         }
-                        results
-                            .lock()
-                            .expect("result lock poisoned")
-                            .push((index, outcome));
                     }
                 });
             }
         });
 
-        let mut outcomes = results.into_inner().expect("result lock poisoned");
-        // Shard-index order makes error selection deterministic even with
-        // the abort flag: chunks are pulled in index order, so every shard
-        // with an index at or below the first *finishing* failure was
-        // already pulled and runs to completion — the lowest-index error
-        // therefore always reaches this sort, while skipped shards all have
-        // strictly larger indices. The merge would be order-insensitive
-        // anyway; sorted folding keeps failures reproducible too.
-        outcomes.sort_by_key(|(index, _)| *index);
-        let mut aggregate = SimulationReport::default();
-        let mut merged_trace = trace.map(|capacity| match capacity {
-            Some(capacity) => DecisionTrace::bounded(capacity),
-            None => DecisionTrace::new(),
-        });
-        for (index, outcome) in outcomes {
-            let (report, shard_trace) =
-                outcome.map_err(|err| err.with_context(format_args!("shard {index}")))?;
-            aggregate
-                .merge(report)
-                .map_err(|err| err.with_context(format_args!("merging shard {index}")))?;
-            if let (Some(merged), Some(shard_trace)) = (merged_trace.as_mut(), shard_trace) {
-                merged.merge(shard_trace);
-            }
-        }
-        Ok((aggregate, merged_trace))
+        fold.into_inner().expect("fold lock poisoned").finish()
     }
 
     /// Runs one shard: an ordinary simulation under the shared config with
@@ -401,6 +385,85 @@ impl ShardedRunner {
         sim.submit_all(jobs)?;
         let report = sim.run()?;
         Ok((report, sim.take_decision_trace()))
+    }
+}
+
+/// One shard's simulation result.
+type ShardOutcome = Result<(SimulationReport, Option<DecisionTrace>), SimError>;
+
+/// The in-order fold behind [`ShardedRunner::run_shards`]: shard outcomes
+/// arrive in any order and are folded strictly by shard index.
+///
+/// Error selection is deterministic even with the abort flag: chunks are
+/// pulled in index order, so every shard with an index below the first
+/// failure was already pulled and runs to completion. The fold therefore
+/// reaches every lower-index shard, and the first error it meets (a failed
+/// shard, or a report that shares a job id with an earlier one) is the
+/// lowest-index error, just as a fold after all workers joined would find.
+struct ShardFold {
+    /// Index of the next shard to fold.
+    next: usize,
+    /// Shards that finished before their turn, by index.
+    parked: BTreeMap<usize, ShardOutcome>,
+    report: ReportFold,
+    trace: Option<DecisionTrace>,
+    /// The first error in shard-index order; nothing is folded after it.
+    error: Option<SimError>,
+}
+
+impl ShardFold {
+    fn new(trace: Option<Option<usize>>) -> Self {
+        ShardFold {
+            next: 0,
+            parked: BTreeMap::new(),
+            report: ReportFold::default(),
+            trace: trace.map(|capacity| match capacity {
+                Some(capacity) => DecisionTrace::bounded(capacity),
+                None => DecisionTrace::new(),
+            }),
+            error: None,
+        }
+    }
+
+    fn failed(&self) -> bool {
+        self.error.is_some()
+    }
+
+    /// Accepts shard `index`'s outcome and folds every shard whose turn
+    /// has come.
+    fn offer(&mut self, index: usize, outcome: ShardOutcome) {
+        if self.failed() {
+            return;
+        }
+        self.parked.insert(index, outcome);
+        while let Some(outcome) = self.parked.remove(&self.next) {
+            let index = self.next;
+            self.next += 1;
+            if let Err(err) = self.fold(index, outcome) {
+                self.error = Some(err);
+                self.parked.clear();
+                return;
+            }
+        }
+    }
+
+    fn fold(&mut self, index: usize, outcome: ShardOutcome) -> Result<(), SimError> {
+        let (report, shard_trace) =
+            outcome.map_err(|err| err.with_context(format_args!("shard {index}")))?;
+        self.report
+            .push(report)
+            .map_err(|err| err.with_context(format_args!("merging shard {index}")))?;
+        if let (Some(merged), Some(shard_trace)) = (self.trace.as_mut(), shard_trace) {
+            merged.merge(shard_trace);
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<(SimulationReport, Option<DecisionTrace>), SimError> {
+        match self.error {
+            Some(err) => Err(err),
+            None => Ok((self.report.finish(), self.trace)),
+        }
     }
 }
 

@@ -6,7 +6,10 @@
 //! 2. `SimulationReport::merge` is associative and commutative (with the
 //!    default report as identity), which is what makes (1) possible,
 //! 3. the splitmix64 shard-seed derivation never collides across shard
-//!    indices for a fixed base seed.
+//!    indices for a fixed base seed,
+//! 4. the runner's eager, linear fold of shard reports equals the pairwise
+//!    `merge` fold of the same per-shard reports in shard-index order,
+//!    errors included.
 
 use chronos_sim::prelude::*;
 use proptest::prelude::*;
@@ -97,6 +100,73 @@ fn synthetic_report(id_base: u64, job_count: u64, policy: &str, salt: u64) -> Si
     report
 }
 
+/// Cuts `jobs` into the chunk layout `layout` selects: 0 = contiguous
+/// blocks, 1 = `round_robin`-interleaved ids, 2 = contiguous blocks with
+/// empty chunks spliced in (at the front, between blocks and at the end).
+fn layout_chunks(runner: &ShardedRunner, jobs: Vec<JobSpec>, layout: u8) -> Vec<Vec<JobSpec>> {
+    let shards = runner.config().sharding.resolved_shards() as usize;
+    if layout == 1 {
+        return runner.round_robin(jobs);
+    }
+    let block = jobs.len().div_ceil(shards).max(1);
+    let mut chunks: Vec<Vec<JobSpec>> = jobs.chunks(block).map(<[JobSpec]>::to_vec).collect();
+    if layout == 2 {
+        let mut spaced = vec![Vec::new()];
+        for chunk in chunks {
+            spaced.push(chunk);
+            spaced.push(Vec::new());
+        }
+        chunks = spaced;
+    }
+    chunks
+}
+
+/// Each chunk simulated on its own under its shard's derived seed.
+fn shard_outcomes(
+    config: &SimConfig,
+    chunks: &[Vec<JobSpec>],
+) -> Vec<Result<SimulationReport, SimError>> {
+    let simulate = |index: usize, chunk: &Vec<JobSpec>| {
+        let mut shard_config = config.clone();
+        shard_config.seed = shard_seed(config.seed, index as u64);
+        let mut sim = Simulation::new(shard_config, Box::new(NoSpeculation))?;
+        sim.submit_all(chunk.clone())?;
+        sim.run()
+    };
+    chunks
+        .iter()
+        .enumerate()
+        .map(|(index, chunk)| simulate(index, chunk))
+        .collect()
+}
+
+/// The per-shard outcomes folded pairwise with `SimulationReport::merge` in
+/// shard-index order: the reference the runner's fold must reproduce. An
+/// error carries the same context the runner adds.
+fn pairwise_fold(
+    outcomes: Vec<Result<SimulationReport, SimError>>,
+) -> Result<SimulationReport, SimError> {
+    let mut aggregate = SimulationReport::default();
+    for (index, outcome) in outcomes.into_iter().enumerate() {
+        let report = outcome.map_err(|err| err.with_context(format_args!("shard {index}")))?;
+        aggregate
+            .merge(report)
+            .map_err(|err| err.with_context(format_args!("merging shard {index}")))?;
+    }
+    Ok(aggregate)
+}
+
+/// The runner's report (or error) over `chunks`.
+fn run_chunks(config: SimConfig, chunks: Vec<Vec<JobSpec>>) -> Result<SimulationReport, SimError> {
+    let runner = ShardedRunner::new(config).expect("valid config");
+    let chunks = chunks.into_iter().map(Ok::<_, std::convert::Infallible>);
+    match runner.run(chunks, RunOptions::default(), |_| Box::new(NoSpeculation)) {
+        Ok(output) => Ok(output.report),
+        Err(ReplayError::Sim(err)) => Err(err),
+        Err(ReplayError::Source(never)) => match never {},
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Properties
 // ---------------------------------------------------------------------------
@@ -177,6 +247,52 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// (d) The runner's fold equals the pairwise `merge` fold of the same
+    /// per-shard reports for contiguous, interleaved and empty-chunk
+    /// layouts at 1 and 8 workers. `duplicate` 0 gives the last job the
+    /// first job's id, and 1 gives the middle job its predecessor's id (a
+    /// shard whose first id equals the previous shard's last id in the
+    /// contiguous layouts). Layouts that split a shared id across shards
+    /// must fail with the very `MergeConflict` the pairwise fold reports.
+    #[test]
+    fn runner_fold_equals_the_pairwise_merge_fold(
+        seed in 0u64..1_000_000,
+        shards in 1u32..9,
+        job_count in 0u64..40,
+        layout in 0u8..3,
+        duplicate in 0u8..4,
+    ) {
+        let mut jobs = workload(job_count, 2, 3.0);
+        if jobs.len() > 1 {
+            let (from, to) = match duplicate {
+                0 => (0, jobs.len() - 1),
+                1 => (jobs.len() / 2 - 1, jobs.len() / 2),
+                _ => (0, 0),
+            };
+            jobs[to].id = jobs[from].id;
+        }
+        let runner = ShardedRunner::new(sim_config(seed, shards, 1)).expect("valid config");
+        let chunks = layout_chunks(&runner, jobs, layout);
+        let outcomes = shard_outcomes(runner.config(), &chunks);
+        let expected = pairwise_fold(outcomes.clone());
+        // `merged` takes the same linear path as the runner.
+        if let Ok(reports) = outcomes.into_iter().collect::<Result<Vec<_>, _>>() {
+            let merged = SimulationReport::merged(reports);
+            prop_assert_eq!(merged.is_ok(), expected.is_ok());
+            if let (Ok(merged), Ok(expected)) = (&merged, &expected) {
+                prop_assert_eq!(merged, expected);
+            }
+        }
+        for workers in [1u32, 8] {
+            let folded = run_chunks(sim_config(seed, shards, workers), chunks.clone());
+            prop_assert_eq!(&folded, &expected, "workers = {}", workers);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Deterministic (non-property) companions
 // ---------------------------------------------------------------------------
@@ -192,6 +308,30 @@ fn fixed_seed_worker_sweep_is_bit_identical() {
     assert_eq!(reports[0], reports[1]);
     assert_eq!(reports[0], reports[2]);
     assert_eq!(reports[0].job_count(), 64);
+}
+
+/// Shards 0 and 2 share a job id and shard 1 is disjoint from both: the
+/// fold appends shard 1 in order, then must sort-merge shard 2 and reject
+/// it, naming shard 2 and the shared id, at any worker count.
+#[test]
+fn shared_id_across_non_adjacent_shards_is_a_merge_conflict_at_the_later_shard() {
+    let jobs = workload(6, 2, 3.0);
+    let mut chunks = vec![
+        jobs[0..2].to_vec(),
+        jobs[2..4].to_vec(),
+        jobs[4..6].to_vec(),
+    ];
+    chunks[2][0].id = JobId::new(1);
+    let config = |workers| sim_config(7, 3, workers);
+    let expected = pairwise_fold(shard_outcomes(&config(1), &chunks)).unwrap_err();
+    for workers in [1u32, 8] {
+        let err = run_chunks(config(workers), chunks.clone()).unwrap_err();
+        assert!(matches!(err, SimError::MergeConflict { .. }), "{err}");
+        let message = err.to_string();
+        assert!(message.contains("merging shard 2"), "{message}");
+        assert!(message.contains("job-1"), "{message}");
+        assert_eq!(err, expected, "workers = {workers}");
+    }
 }
 
 /// Exhaustive collision check at the default base seed, covering the exact

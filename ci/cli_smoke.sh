@@ -97,7 +97,7 @@ cmp "$WORK/obs_w8.json" "$WORK/obs_off.json"
 # and PlacementDecision logs identical at 8 and 1 workers, the digest
 # pinned as a literal, and the log non-empty (empty vs empty gates nothing).
 echo "== placement-smoke =="
-DIGEST=752c849143a6bd87
+DIGEST=bb33ff08919fbd80
 "$TT" replay --trace "$GOLDEN" --policy s-restart --placement deadline-aware --workers 8 \
   --out "$WORK/place_w8.json" --decision-log "$WORK/place_w8.log" | tee "$WORK/place_w8.txt"
 grep -q "decision trace digest: $DIGEST" "$WORK/place_w8.txt"

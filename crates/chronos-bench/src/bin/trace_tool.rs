@@ -208,6 +208,20 @@ fn write_report(report: &SimulationReport, out: Option<&Path>) -> Result<(), Str
     Ok(())
 }
 
+/// Streams a decision trace's log to `path` through a buffer and prints
+/// the trace's digest line.
+fn write_decision_log(trace: &DecisionTrace, path: &Path) -> Result<(), String> {
+    File::create(path)
+        .and_then(|file| {
+            let mut sink = BufWriter::new(file);
+            trace.write_log(&mut sink)?;
+            sink.flush()
+        })
+        .map_err(|err| format!("writing {}: {err}", path.display()))?;
+    println!("{}", fmt::decision_trace_digest_line(&trace.digest()));
+    Ok(())
+}
+
 fn replay(args: &[String]) -> Result<(), String> {
     let workers = nonzero_flag_value(args, "--workers", 4)?;
     let chunk_size = nonzero_flag_value(args, "--chunk-size", DEFAULT_CHUNK_SIZE)?;
@@ -310,12 +324,7 @@ fn replay(args: &[String]) -> Result<(), String> {
         let decision_trace = output
             .trace
             .expect("trace recorded when --decision-log is set");
-        std::fs::write(path, decision_trace.render_log())
-            .map_err(|err| format!("writing {}: {err}", path.display()))?;
-        println!(
-            "{}",
-            fmt::decision_trace_digest_line(&decision_trace.digest())
-        );
+        write_decision_log(&decision_trace, path)?;
     }
     if let Some(path) = &metrics_out {
         let mut registry = MetricsRegistry::new();
@@ -422,12 +431,7 @@ fn serve_replay(args: &[String]) -> Result<(), String> {
         // invariant as long as no submission was rejected (overload events
         // are load-dependent by nature and sort last).
         let decision_trace = decision_trace.expect("trace enabled when --decision-log is set");
-        std::fs::write(path, decision_trace.render_log())
-            .map_err(|err| format!("writing {}: {err}", path.display()))?;
-        println!(
-            "{}",
-            fmt::decision_trace_digest_line(&decision_trace.digest())
-        );
+        write_decision_log(&decision_trace, path)?;
     }
     if let Some(path) = &metrics_out {
         let mut registry = MetricsRegistry::new();

@@ -2,8 +2,9 @@
 //! Google-2011 trace with the decision recorder on must produce — at any
 //! worker count — the identical decision log, the identical FNV-1a trace
 //! digest, and the identical Prometheus metrics snapshot, byte for byte.
-//! CI's `obs-smoke` check repeats the pin through the `trace_tool replay
-//! --decision-log` command line.
+//! The `trace_tool replay --decision-log` file streamed by the command
+//! line equals the in-process log byte for byte (CI's `obs-smoke` check
+//! also repeats the pin across worker counts).
 //!
 //! If an intentional policy/optimizer/engine change shifts the events,
 //! regenerate the pins with
@@ -29,7 +30,7 @@ const GOLDEN_PROM: &str = concat!(
 
 /// The decision-trace digest of the golden replay under `trace_tool`'s
 /// replay configuration with `--policy s-resume`.
-const GOLDEN_TRACE_DIGEST: &str = "ecbe850d4f40c8f3";
+const GOLDEN_TRACE_DIGEST: &str = "e2bd738e8d41c8f4";
 
 /// Mirrors `trace_tool`'s fixed replay configuration (same cluster, seed
 /// and sharding), so the snapshot pinned here is the one the CLI writes.
@@ -95,4 +96,35 @@ fn golden_observed_replay_is_worker_count_invariant_and_pinned() {
     let golden = std::fs::read_to_string(GOLDEN_PROM).expect("golden snapshot exists");
     assert_eq!(prom_1, golden);
     assert_eq!(prom_8, golden);
+}
+
+#[test]
+fn trace_tool_decision_log_file_is_the_in_process_log() {
+    let scratch = std::env::temp_dir().join(format!("obs_snapshot_{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("scratch directory");
+    let log = scratch.join("decisions.log");
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_trace_tool"))
+        .args(["replay", "--trace", GOLDEN, "--policy", "s-resume", "--out"])
+        .arg(scratch.join("report.json"))
+        .arg("--decision-log")
+        .arg(&log)
+        .output()
+        .expect("trace_tool spawns");
+    let written = std::fs::read(&log);
+    std::fs::remove_dir_all(&scratch).expect("scratch directory removed");
+    assert!(
+        output.status.success(),
+        "trace_tool replay failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let (_, trace, _) = observed_replay(1);
+    assert_eq!(
+        String::from_utf8(written.expect("decision log written")).expect("UTF-8 log"),
+        trace.render_log()
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.contains(&format!("decision trace digest: {GOLDEN_TRACE_DIGEST}")),
+        "{stdout}"
+    );
 }

@@ -170,8 +170,9 @@ fn plan_cache_replay_equals_the_uncached_run() {
         s_resume_4(),
         "planner determinism violated: the planner-backed replay differs from the uncached run"
     );
-    // Every job shares one analytical profile: one solve, the rest hits.
-    assert_eq!((misses, hits), (1, 20_015));
+    // Every job shares one analytical profile and looks it up once: one
+    // solve, the rest hits.
+    assert_eq!((misses, hits), (1, 19_999));
     assert_eq!(report_digest(&report), "ec9bf951dfb01a11");
 }
 

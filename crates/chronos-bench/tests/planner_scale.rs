@@ -103,12 +103,8 @@ fn planner_backed_replay_is_bit_identical_to_the_uncached_path_at_scale() {
             "planner-backed replay diverged from the uncached path at {workers} workers"
         );
         assert_eq!(stats.misses, 4, "one solve per distinct profile");
-        // Batch warm-up looks every job up once (100,000). The engine's
-        // submit memoization then collapses the per-arrival lookups to one
-        // per distinct profile per shard (49 shards × 4 profiles = 196);
-        // replayed arrivals never reach the planner. The counts depend on
-        // the chunk structure only, not on the worker count.
-        assert_eq!(stats.lookups(), 100_196, "workers = {workers}");
+        // Every arrival looks its plan up once, whatever the worker count.
+        assert_eq!(stats.lookups(), 100_000, "workers = {workers}");
         assert_eq!(cache.stats().entries, 4);
     }
 

@@ -21,15 +21,15 @@
 use crate::digest::Digest;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
+use std::io;
 
 /// One structured observability event. All fields are integers (or
 /// strings hashed as bytes): floats and wall-clock readings are banned so
 /// every event is digest-safe.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceEvent {
-    /// A memoized `SubmitDecision` override replaced a live policy
-    /// callback at job submission.
+    /// A `BatchPlan` override replaced the policy's own submit decision at
+    /// the job's arrival.
     SubmitOverrideApplied {
         /// Raw job id.
         job: u64,
@@ -431,16 +431,29 @@ impl DecisionTrace {
         digest.finish_hex()
     }
 
-    /// Renders the whole trace as a newline-terminated decision log, one
+    /// Writes the whole trace as a newline-terminated decision log, one
     /// `t=<micros>us <event>` line per record, suitable for byte-exact
-    /// comparison across worker counts.
+    /// comparison across worker counts. This is the one definition of the
+    /// log's line format; it holds no more than one line in memory, so a
+    /// large trace streams into a file without a copy of the whole log.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first write error of `out`.
+    pub fn write_log(&self, out: &mut impl io::Write) -> io::Result<()> {
+        for record in &self.records {
+            writeln!(out, "t={}us {}", record.at_micros, record.event.render())?;
+        }
+        Ok(())
+    }
+
+    /// The decision log of [`DecisionTrace::write_log`] as one `String`.
     #[must_use]
     pub fn render_log(&self) -> String {
-        let mut out = String::new();
-        for record in &self.records {
-            let _ = writeln!(out, "t={}us {}", record.at_micros, record.event.render());
-        }
-        out
+        let mut out = Vec::new();
+        self.write_log(&mut out)
+            .expect("writing into a Vec cannot fail");
+        String::from_utf8(out).expect("every rendered event is UTF-8")
     }
 }
 

@@ -25,9 +25,9 @@
 //!   per-entity `Vec`.
 //! * Per-job policy bookkeeping (`chosen_r`, the periodic-check period) are
 //!   parallel arrays over job slots. `chosen_r` is the only copy of each
-//!   job's `r`: it is set from the final [`SubmitDecision::reported_r`] on
-//!   every submit path (direct, memo replay, batch override), handed to the
-//!   policy in every [`JobView`] and exported as [`JobMetrics::chosen_r`],
+//!   job's `r`: it is set from the final [`SubmitDecision::reported_r`]
+//!   (of [`SpeculationPolicy::on_job_submit`] or of a batch override), handed
+//!   to the policy in every [`JobView`] and exported as [`JobMetrics::chosen_r`],
 //!   so no policy keeps a per-job map of its own. `task_hot` flattens each task's
 //!   sampling parameters (Pareto `t_min`, precomputed `1/β`, size factor)
 //!   next to its index so starting an attempt — the single hottest
@@ -44,15 +44,6 @@
 //! only dispatched events represent simulation work, feed the events/sec
 //! metrics, and count against the `max_events` budget (see
 //! [`SimError::EventBudgetExhausted`]).
-//!
-//! # Submit memoization
-//!
-//! Policies that declare [`SpeculationPolicy::submit_is_profile_pure`] get
-//! their submit-time planning deduplicated *inside the engine*: jobs
-//! sharing a profile (task count, deadline, price, distribution — the
-//! chronos-plan `ProfileKey` idea applied at simulation time) are planned
-//! once, and later arrivals replay the memoized decision through
-//! [`SpeculationPolicy::on_job_submit_replayed`].
 
 use crate::attempt::{Attempt, AttemptState};
 use crate::cluster::{PlacementPolicy, PlacementRequest, ResourceManager};
@@ -72,38 +63,6 @@ use chronos_obs::{DecisionTrace, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, HashMap};
-
-/// The submit-relevant fields of a [`JobSubmitView`] — everything except
-/// the job id — with floats keyed by bit pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ProfileKey {
-    task_count: u32,
-    deadline_bits: u64,
-    price_bits: u64,
-    t_min_bits: u64,
-    beta_bits: u64,
-}
-
-impl ProfileKey {
-    fn of(view: &JobSubmitView) -> Self {
-        ProfileKey {
-            task_count: view.task_count,
-            deadline_bits: view.deadline_secs.to_bits(),
-            price_bits: view.price.to_bits(),
-            t_min_bits: view.profile.t_min().to_bits(),
-            beta_bits: view.profile.beta().to_bits(),
-        }
-    }
-}
-
-/// A memoized [`CheckSchedule`], with `AtOffsets` interned into the shared
-/// `memo_offsets` arena so cache hits stay allocation-free.
-#[derive(Debug, Clone, Copy)]
-enum ScheduleKind {
-    Never,
-    Offsets { start: u32, len: u32 },
-    Periodic { first: f64, period: f64 },
-}
 
 /// Per-task data for [`Simulation::start_attempt`], flattened at task
 /// creation: the owning job's Pareto parameters (with `1/β` precomputed —
@@ -163,14 +122,8 @@ pub struct Simulation {
     now: SimTime,
     events_dispatched: u64,
     events_stale: u64,
-    /// Submit memoization (see the module docs); enabled iff the policy
-    /// declared itself profile-pure at construction.
-    memo_enabled: bool,
-    memo: HashMap<ProfileKey, (SubmitDecision, ScheduleKind), FastIdHash>,
-    memo_offsets: Vec<f64>,
     /// Per-job submit overrides from the policy's [`BatchPlan`]s, consumed
-    /// at arrival. Overridden jobs bypass the profile memo: an override is
-    /// per job id, the memo is per profile.
+    /// at arrival in place of [`SpeculationPolicy::on_job_submit`].
     submit_overrides: HashMap<u64, SubmitDecision, FastIdHash>,
     /// Pooled scratch for [`JobView`] snapshots.
     view_tasks_scratch: Vec<TaskView>,
@@ -193,7 +146,6 @@ impl Simulation {
         let rm = ResourceManager::new(&config.cluster)?;
         let rng = StdRng::seed_from_u64(config.seed);
         let policy_name = policy.name().to_string();
-        let memo_enabled = policy.submit_is_profile_pure();
         Ok(Simulation {
             config,
             policy,
@@ -212,9 +164,6 @@ impl Simulation {
             now: SimTime::ZERO,
             events_dispatched: 0,
             events_stale: 0,
-            memo_enabled,
-            memo: HashMap::with_hasher(FastIdHash),
-            memo_offsets: Vec::new(),
             submit_overrides: HashMap::with_hasher(FastIdHash),
             view_tasks_scratch: Vec::new(),
             attempt_vec_pool: Vec::new(),
@@ -284,10 +233,10 @@ impl Simulation {
     }
 
     /// Queues a batch of jobs, then hands the whole batch to the policy's
-    /// [`SpeculationPolicy::on_job_batch`] hook so optimizing policies can
-    /// plan it in one deduplicated pass (see the hook's docs) before any
-    /// arrival event fires. Per-job overrides in the returned [`BatchPlan`]
-    /// are recorded and applied at the jobs' arrival events in place of
+    /// [`SpeculationPolicy::on_job_batch`] hook so a batch-level allocator
+    /// can plan it jointly (see the hook's docs) before any arrival event
+    /// fires. Per-job overrides in the returned [`BatchPlan`] are recorded
+    /// and applied at the jobs' arrival events in place of
     /// [`SpeculationPolicy::on_job_submit`].
     ///
     /// # Errors
@@ -455,59 +404,39 @@ impl Simulation {
             )
         };
 
-        let (decision, schedule) =
-            if let Some(decision) = self.submit_overrides.remove(&job_id.raw()) {
-                // A batch-plan override is the final decision for this job: the
-                // policy hears about it through the replay hook (mirroring its
-                // bookkeeping), and the profile memo is bypassed in both
-                // directions — the override must not be served to other jobs of
-                // the same profile, nor a memoized decision to this job.
-                self.policy.on_job_submit_replayed(&submit_view, decision);
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.record(
-                        self.now.as_micros(),
-                        TraceEvent::SubmitOverrideApplied {
-                            job: job_id.raw(),
-                            extra_clones: decision.extra_clones_per_task,
-                            reported_r: decision.reported_r,
-                        },
-                    );
-                }
-                let schedule = self.intern_schedule(self.policy.check_schedule(&submit_view));
-                (decision, schedule)
-            } else if self.memo_enabled {
-                let key = ProfileKey::of(&submit_view);
-                if let Some(&(decision, schedule)) = self.memo.get(&key) {
-                    self.policy.on_job_submit_replayed(&submit_view, decision);
-                    (decision, schedule)
-                } else {
-                    let decision = self.policy.on_job_submit(&submit_view);
-                    let schedule = self.intern_schedule(self.policy.check_schedule(&submit_view));
-                    self.memo.insert(key, (decision, schedule));
-                    (decision, schedule)
-                }
-            } else {
-                let decision = self.policy.on_job_submit(&submit_view);
-                let schedule = self.intern_schedule(self.policy.check_schedule(&submit_view));
-                (decision, schedule)
-            };
-
+        let decision = if let Some(decision) = self.submit_overrides.remove(&job_id.raw()) {
+            // A batch-plan override is the final decision for this job; the
+            // policy hears about it through the replay hook.
+            self.policy.on_job_submit_replayed(&submit_view, decision);
+            if let Some(trace) = self.trace.as_mut() {
+                trace.record(
+                    self.now.as_micros(),
+                    TraceEvent::SubmitOverrideApplied {
+                        job: job_id.raw(),
+                        extra_clones: decision.extra_clones_per_task,
+                        reported_r: decision.reported_r,
+                    },
+                );
+            }
+            decision
+        } else {
+            self.policy.on_job_submit(&submit_view)
+        };
         if let Some(r) = decision.reported_r {
             self.chosen_r[slot as usize] = Some(r);
         }
 
-        match schedule {
-            ScheduleKind::Never => {}
-            ScheduleKind::Offsets { start, len } => {
-                for index in 0..len {
-                    let offset = self.memo_offsets[(start + index) as usize];
+        match self.policy.check_schedule(&submit_view) {
+            CheckSchedule::Never => {}
+            CheckSchedule::AtOffsets(offsets) => {
+                for (index, offset) in (0u32..).zip(offsets) {
                     self.events.schedule(
                         submit_time + SimDuration::from_secs(offset),
                         Event::PolicyCheck { job: job_id, index },
                     );
                 }
             }
-            ScheduleKind::Periodic { first, period } => {
+            CheckSchedule::Periodic { first, period } => {
                 self.job_period[slot as usize] = Some(period);
                 self.events.schedule(
                     submit_time + SimDuration::from_secs(first),
@@ -554,23 +483,6 @@ impl Simulation {
         }
         self.dispatch_pending();
         Ok(())
-    }
-
-    /// Interns a schedule into the memoizable representation, moving
-    /// `AtOffsets` payloads into the shared offset arena.
-    fn intern_schedule(&mut self, schedule: CheckSchedule) -> ScheduleKind {
-        match schedule {
-            CheckSchedule::Never => ScheduleKind::Never,
-            CheckSchedule::AtOffsets(offsets) => {
-                let start = self.memo_offsets.len() as u32;
-                self.memo_offsets.extend_from_slice(&offsets);
-                ScheduleKind::Offsets {
-                    start,
-                    len: offsets.len() as u32,
-                }
-            }
-            CheckSchedule::Periodic { first, period } => ScheduleKind::Periodic { first, period },
-        }
     }
 
     fn handle_attempt_completion(&mut self, attempt_id: AttemptId) -> Result<(), SimError> {
@@ -1410,7 +1322,7 @@ mod tests {
 
     #[test]
     fn decision_trace_records_batch_overrides() {
-        let policy = OverridingPolicy::new(vec![1, 2]);
+        let policy = PlanProbe::new(true, vec![1, 2]);
         let mut sim = Simulation::new(small_config(13), Box::new(policy)).unwrap();
         sim.enable_decision_trace(None);
         sim.submit_all((0..4).map(|i| job(i, f64::from(i as u32), 1_000.0, 2)))
@@ -1426,11 +1338,11 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(overrides, vec![(1, 2), (2, 2)]);
+        assert_eq!(overrides, vec![(1, 7), (2, 7)]);
         // One greppable line per event in the rendered log.
         let log = trace.render_log();
         assert!(
-            log.contains("submit-override job=1 extra-clones=2 reported-r=2"),
+            log.contains("submit-override job=1 extra-clones=7 reported-r=7"),
             "{log}"
         );
     }
@@ -1514,139 +1426,68 @@ mod tests {
         );
     }
 
-    /// Per-check `(job, view.chosen_r)` records of a probe policy.
-    type CheckedR = std::sync::Arc<std::sync::Mutex<Vec<(u64, Option<u32>)>>>;
+    /// What a [`PlanProbe`] saw during a run.
+    #[derive(Debug, Default)]
+    struct ProbeLog {
+        /// Calls of `on_job_submit`.
+        submits: u32,
+        /// `(job, extra clones)` of every `on_job_submit_replayed` call.
+        replays: Vec<(u64, u32)>,
+        /// `(job, view.chosen_r)` of every check.
+        checked_r: Vec<(u64, Option<u32>)>,
+    }
 
-    /// Profile-pure policy that counts planner invocations vs replays and
-    /// records the `r` the engine hands back at each check.
+    /// Clone-style policy that plans every submission through a
+    /// `chronos-plan` planner (through its cache, or with uncached solves),
+    /// optionally overrides chosen jobs through its [`BatchPlan`], and logs
+    /// what the engine asks of it.
     #[derive(Debug)]
-    struct MemoProbe {
-        pure: bool,
-        submits: std::sync::Arc<std::sync::atomic::AtomicU32>,
-        replays: std::sync::Arc<std::sync::atomic::AtomicU32>,
-        checked_r: CheckedR,
-    }
-
-    impl MemoProbe {
-        fn new(pure: bool) -> Self {
-            MemoProbe {
-                pure,
-                submits: Default::default(),
-                replays: Default::default(),
-                checked_r: Default::default(),
-            }
-        }
-    }
-
-    impl SpeculationPolicy for MemoProbe {
-        fn name(&self) -> &str {
-            "memo-probe"
-        }
-
-        fn on_job_submit(&mut self, _job: &JobSubmitView) -> SubmitDecision {
-            self.submits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            SubmitDecision {
-                extra_clones_per_task: 1,
-                reported_r: Some(1),
-            }
-        }
-
-        fn submit_is_profile_pure(&self) -> bool {
-            self.pure
-        }
-
-        fn on_job_submit_replayed(&mut self, _job: &JobSubmitView, decision: SubmitDecision) {
-            assert_eq!(decision.reported_r, Some(1));
-            self.replays
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-
-        fn check_schedule(&self, _job: &JobSubmitView) -> CheckSchedule {
-            CheckSchedule::AtOffsets(vec![5.0])
-        }
-
-        fn on_check(&mut self, view: &JobView) -> Vec<PolicyAction> {
-            self.checked_r
-                .lock()
-                .unwrap()
-                .push((view.job.raw(), view.chosen_r));
-            Vec::new()
-        }
-    }
-
-    #[test]
-    fn submit_memoization_plans_each_profile_once_and_changes_nothing() {
-        use std::sync::atomic::Ordering;
-        let run = |pure: bool| {
-            let probe = MemoProbe::new(pure);
-            let submits = std::sync::Arc::clone(&probe.submits);
-            let replays = std::sync::Arc::clone(&probe.replays);
-            let checked_r = std::sync::Arc::clone(&probe.checked_r);
-            let mut sim = Simulation::new(small_config(13), Box::new(probe)).unwrap();
-            // Six jobs over two distinct profiles (deadline differs).
-            sim.submit_all((0..6).map(|i| {
-                job(
-                    i,
-                    f64::from(i as u32) * 2.0,
-                    if i % 2 == 0 { 400.0 } else { 600.0 },
-                    2,
-                )
-            }))
-            .unwrap();
-            let report = sim.run().unwrap();
-            let mut checked_r = checked_r.lock().unwrap().clone();
-            checked_r.sort_unstable();
-            (
-                report,
-                submits.load(Ordering::Relaxed),
-                replays.load(Ordering::Relaxed),
-                checked_r,
-            )
-        };
-        let (memoized, memo_submits, memo_replays, memo_checked_r) = run(true);
-        let (direct, direct_submits, direct_replays, direct_checked_r) = run(false);
-        assert_eq!(memo_submits, 2, "two distinct profiles planned");
-        assert_eq!(memo_replays, 4, "four arrivals replayed");
-        assert_eq!(direct_submits, 6);
-        assert_eq!(direct_replays, 0);
-        // Every job's check sees the `r` of its decision, whether it was
-        // planned directly or replayed from the memo.
-        let expected: Vec<(u64, Option<u32>)> = (0..6).map(|id| (id, Some(1))).collect();
-        assert_eq!(memo_checked_r, expected);
-        assert_eq!(direct_checked_r, expected);
-        // Memoization must not change a single bit of the outcome.
-        assert_eq!(memoized, direct);
-    }
-
-    /// Profile-pure policy that overrides chosen jobs through its
-    /// [`BatchPlan`], counting submit vs replay calls: pins that overrides
-    /// are applied, mirrored through the replay hook, handed back at the
-    /// job's checks, and bypass the profile memo in both directions.
-    #[derive(Debug)]
-    struct OverridingPolicy {
+    struct PlanProbe {
+        planner: chronos_plan::Planner,
+        cached: bool,
         override_ids: Vec<u64>,
         override_unknown: bool,
-        submits: std::sync::Arc<std::sync::atomic::AtomicU32>,
-        replays: std::sync::Arc<std::sync::Mutex<Vec<(u64, u32)>>>,
-        checked_r: CheckedR,
+        log: std::sync::Arc<std::sync::Mutex<ProbeLog>>,
     }
 
-    impl OverridingPolicy {
-        fn new(override_ids: Vec<u64>) -> Self {
-            OverridingPolicy {
+    impl PlanProbe {
+        fn new(cached: bool, override_ids: Vec<u64>) -> Self {
+            PlanProbe {
+                planner: chronos_plan::Planner::new(chronos_core::UtilityModel::default()),
+                cached,
                 override_ids,
                 override_unknown: false,
-                submits: Default::default(),
-                replays: Default::default(),
-                checked_r: Default::default(),
+                log: Default::default(),
             }
+        }
+
+        /// Algorithm 1's `r` for a submitted job under Clone with
+        /// `τ_kill = 5 s`, the probe's only check.
+        fn plan_r(&self, job: &JobSubmitView) -> u32 {
+            let profile = chronos_core::JobProfile::builder()
+                .tasks(job.task_count)
+                .t_min(job.profile.t_min())
+                .beta(job.profile.beta())
+                .deadline(job.deadline_secs)
+                .price(job.price)
+                .build()
+                .unwrap();
+            let request = chronos_plan::PlanRequest::new(
+                profile,
+                chronos_core::StrategyParams::clone_strategy(5.0),
+            );
+            let plan = if self.cached {
+                self.planner.plan_request(&request)
+            } else {
+                self.planner.solve_uncached(&request)
+            };
+            plan.unwrap().outcome.r
         }
     }
 
-    impl SpeculationPolicy for OverridingPolicy {
+    impl SpeculationPolicy for PlanProbe {
         fn name(&self) -> &str {
-            "override-probe"
+            "plan-probe"
         }
 
         fn on_job_batch(&mut self, jobs: &[JobSubmitView]) -> Result<BatchPlan, SimError> {
@@ -1659,8 +1500,8 @@ mod tests {
                     plan = plan.with_override(
                         view.job,
                         SubmitDecision {
-                            extra_clones_per_task: 2,
-                            reported_r: Some(2),
+                            extra_clones_per_task: 7,
+                            reported_r: Some(7),
                         },
                     );
                 }
@@ -1670,86 +1511,157 @@ mod tests {
             Ok(plan)
         }
 
-        fn on_job_submit(&mut self, _job: &JobSubmitView) -> SubmitDecision {
-            self.submits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            SubmitDecision::default()
-        }
-
-        fn submit_is_profile_pure(&self) -> bool {
-            true
+        fn on_job_submit(&mut self, job: &JobSubmitView) -> SubmitDecision {
+            self.log.lock().unwrap().submits += 1;
+            let r = self.plan_r(job);
+            SubmitDecision {
+                extra_clones_per_task: r,
+                reported_r: Some(r),
+            }
         }
 
         fn on_job_submit_replayed(&mut self, job: &JobSubmitView, decision: SubmitDecision) {
-            self.replays
+            self.log
                 .lock()
                 .unwrap()
+                .replays
                 .push((job.job.raw(), decision.extra_clones_per_task));
         }
 
         fn check_schedule(&self, _job: &JobSubmitView) -> CheckSchedule {
-            CheckSchedule::AtOffsets(vec![1.0])
+            CheckSchedule::AtOffsets(vec![5.0])
         }
 
         fn on_check(&mut self, view: &JobView) -> Vec<PolicyAction> {
-            self.checked_r
+            self.log
                 .lock()
                 .unwrap()
+                .checked_r
                 .push((view.job.raw(), view.chosen_r));
             Vec::new()
         }
     }
 
+    /// Runs `probe` over `specs` as one batch: the report, what the probe
+    /// saw (check-time `r`s sorted by job) and its planner's cache counters.
+    fn run_probe(
+        probe: PlanProbe,
+        specs: Vec<JobSpec>,
+    ) -> (SimulationReport, ProbeLog, chronos_plan::CacheStats) {
+        let log = std::sync::Arc::clone(&probe.log);
+        let cache = std::sync::Arc::clone(probe.planner.cache());
+        let mut sim = Simulation::new(small_config(13), Box::new(probe)).unwrap();
+        sim.submit_all(specs).unwrap();
+        let report = sim.run().unwrap();
+        drop(sim);
+        let mut log = std::sync::Arc::into_inner(log)
+            .unwrap()
+            .into_inner()
+            .unwrap();
+        log.checked_r.sort_unstable();
+        (report, log, cache.stats())
+    }
+
+    #[test]
+    fn submit_memoization_plans_each_profile_once_and_changes_nothing() {
+        // Six jobs over two distinct profiles (deadline differs). Every
+        // arrival reaches on_job_submit; the plan cache is the only place
+        // that deduplicates the planning.
+        let specs = || -> Vec<JobSpec> {
+            (0..6)
+                .map(|i| {
+                    let deadline = if i % 2 == 0 { 40.0 } else { 60.0 };
+                    job(i, f64::from(i as u32) * 2.0, deadline, 2)
+                })
+                .collect()
+        };
+        let (cached, cached_log, cached_stats) =
+            run_probe(PlanProbe::new(true, Vec::new()), specs());
+        let (direct, direct_log, direct_stats) =
+            run_probe(PlanProbe::new(false, Vec::new()), specs());
+        assert_eq!(cached_log.submits, 6, "every arrival is submitted");
+        assert_eq!(direct_log.submits, 6);
+        assert!(cached_log.replays.is_empty() && direct_log.replays.is_empty());
+        assert_eq!(
+            (cached_stats.misses, cached_stats.hits),
+            (2, 4),
+            "one solve per profile, a cache hit for every other arrival"
+        );
+        assert_eq!(direct_stats.lookups(), 0);
+        // Every job's check sees the `r` its profile solves to, whether the
+        // plan came from the cache or from an uncached solve.
+        let reference = PlanProbe::new(false, Vec::new());
+        let expected: Vec<(u64, Option<u32>)> = specs()
+            .iter()
+            .map(|spec| {
+                let r = reference.plan_r(&Simulation::submit_view_of(spec));
+                (spec.id.raw(), Some(r))
+            })
+            .collect();
+        assert!(expected.iter().any(|&(_, r)| r > Some(0)), "{expected:?}");
+        assert_eq!(cached_log.checked_r, expected);
+        assert_eq!(direct_log.checked_r, expected);
+        // Planning through the cache must not change a single bit of the
+        // outcome.
+        assert_eq!(cached, direct);
+    }
+
     #[test]
     fn batch_plan_overrides_replace_submit_and_bypass_the_memo() {
-        use std::sync::atomic::Ordering;
-        let policy = OverridingPolicy::new(vec![1, 2]);
-        let submits = std::sync::Arc::clone(&policy.submits);
-        let replays = std::sync::Arc::clone(&policy.replays);
-        let checked_r = std::sync::Arc::clone(&policy.checked_r);
-        let mut sim = Simulation::new(small_config(13), Box::new(policy)).unwrap();
-        // Four jobs sharing one profile; jobs 1 and 2 are overridden to two
-        // extra clones per task, the others submit normally (zero clones).
-        sim.submit_all((0..4).map(|i| job(i, f64::from(i as u32), 1_000.0, 2)))
-            .unwrap();
-        let report = sim.run().unwrap();
+        // Four jobs sharing one profile; jobs 1 and 2 are overridden to seven
+        // extra clones per task, the others plan through the cache.
+        let specs = || -> Vec<JobSpec> {
+            (0..4)
+                .map(|i| job(i, f64::from(i as u32), 40.0, 2))
+                .collect()
+        };
+        let (report, log, stats) = run_probe(PlanProbe::new(true, vec![1, 2]), specs());
 
-        // Job 0 planned the shared profile once; job 3 replayed it from the
-        // memo; jobs 1 and 2 never reached on_job_submit (their overrides
-        // won) and did not poison the memo for job 3.
-        assert_eq!(submits.load(Ordering::Relaxed), 1);
+        // Jobs 1 and 2 never reached on_job_submit (their overrides won) and
+        // never touched the plan cache; jobs 0 and 3 planned the shared
+        // profile once through it.
+        assert_eq!(log.submits, 2);
+        assert_eq!((stats.misses, stats.hits), (1, 1));
         assert_eq!(
-            *replays.lock().unwrap(),
-            vec![(1, 2), (2, 2), (3, 0)],
-            "override replays carry the override; the memo replay carries the planned decision"
+            log.replays,
+            vec![(1, 7), (2, 7)],
+            "only overrides are replayed, each carrying its own decision"
         );
 
+        let planned =
+            PlanProbe::new(false, Vec::new()).plan_r(&Simulation::submit_view_of(&specs()[0]));
         for (id, metrics) in &report.jobs {
-            let expected = if id.raw() == 1 || id.raw() == 2 {
-                6 // 2 tasks × (1 original + 2 clones)
+            let r = if id.raw() == 1 || id.raw() == 2 {
+                7
             } else {
-                2
+                planned
             };
-            assert_eq!(metrics.attempts_launched, expected, "{id}");
-            let expected_r = (id.raw() == 1 || id.raw() == 2).then_some(2);
-            assert_eq!(metrics.chosen_r, expected_r, "{id}");
+            // 2 tasks × (1 original + r clones).
+            assert_eq!(metrics.attempts_launched, 2 * (1 + r), "{id}");
+            assert_eq!(metrics.chosen_r, Some(r), "{id}");
         }
         // The check of every job sees the `r` of its final decision: the
-        // override's for jobs 1 and 2, none for the direct submission of
-        // job 0 and the memo replay of job 3.
-        let mut checked_r = checked_r.lock().unwrap().clone();
-        checked_r.sort_unstable();
+        // override's for jobs 1 and 2, the planned one for jobs 0 and 3.
         assert_eq!(
-            checked_r,
-            vec![(0, None), (1, Some(2)), (2, Some(2)), (3, None)]
+            log.checked_r,
+            vec![
+                (0, Some(planned)),
+                (1, Some(7)),
+                (2, Some(7)),
+                (3, Some(planned))
+            ]
         );
+        // Planning the non-overridden jobs through the cache changes no bit
+        // of the outcome.
+        let (direct, ..) = run_probe(PlanProbe::new(false, vec![1, 2]), specs());
+        assert_eq!(report, direct);
     }
 
     #[test]
     fn batch_plan_overriding_an_unknown_job_is_rejected() {
-        let policy = OverridingPolicy {
+        let policy = PlanProbe {
             override_unknown: true,
-            ..OverridingPolicy::new(Vec::new())
+            ..PlanProbe::new(true, Vec::new())
         };
         let mut sim = Simulation::new(small_config(13), Box::new(policy)).unwrap();
         let err = sim.submit_all(vec![job(0, 0.0, 1_000.0, 1)]).unwrap_err();

@@ -28,8 +28,11 @@
 //!   skips [`SpeculationPolicy::on_job_submit`] for that job and calls
 //!   [`SpeculationPolicy::on_job_submit_replayed`] instead, and the
 //!   override's `reported_r` is what [`JobView::chosen_r`] carries at the
-//!   job's checks (overridden jobs also bypass the engine's profile-keyed
-//!   submit memo: an override is per job id, not per profile);
+//!   job's checks;
+//! * every job without an override reaches
+//!   [`SpeculationPolicy::on_job_submit`] at its arrival: the engine keeps
+//!   no submit memo of its own, so a policy that wants repeated profiles
+//!   planned once plans through a `chronos-plan` `PlanCache`;
 //! * [`SpeculationPolicy::name`] now returns `&str` — it was `String`, an
 //!   allocation per call for a value `Simulation::new` caches anyway;
 //!   implementations return their literal directly.
@@ -126,8 +129,8 @@ impl BatchPlan {
         self.overrides.len()
     }
 
-    /// True when the plan carries no overrides (the engine then takes the
-    /// pure per-job submit path, memoization included).
+    /// True when the plan carries no overrides (every job of the batch then
+    /// reaches [`SpeculationPolicy::on_job_submit`]).
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.overrides.is_empty()
@@ -237,7 +240,7 @@ pub struct JobView {
     /// [`CheckSchedule::AtOffsets`].
     pub check_index: u32,
     /// The `r` of the job's final [`SubmitDecision::reported_r`], whichever
-    /// path decided it (submit, memo replay or batch override). The engine
+    /// path decided it (submit or batch override). The engine
     /// is its only owner, so policies keep no per-job map of their own.
     pub chosen_r: Option<u32>,
     /// Per-task snapshots in job order.
@@ -318,23 +321,17 @@ pub trait SpeculationPolicy: fmt::Debug + Send {
 
     /// Called once per submitted batch (`Simulation::submit_all`), before
     /// any job of the batch arrives, with the submit-time views of every
-    /// job in the batch. Optimizing policies use this to *batch* their
-    /// planning: deduplicate the batch by job profile and solve each
-    /// distinct profile once (through a `chronos-plan` planner), so the
-    /// per-job [`SpeculationPolicy::on_job_submit`] calls become cache
-    /// lookups instead of closed-form solves. Batch-level allocators
-    /// additionally return per-job overrides in the [`BatchPlan`] (see the
-    /// module docs' migration notes); the default plans nothing and
-    /// overrides nothing.
+    /// job in the batch. Batch-level allocators (the speculation budget's
+    /// water-filling) plan the batch jointly here and return per-job
+    /// overrides in the [`BatchPlan`] (see the module docs' migration
+    /// notes). The default plans nothing and overrides nothing, so every
+    /// job reaches [`SpeculationPolicy::on_job_submit`] at its arrival.
     ///
     /// # Errors
     ///
     /// Implementations that fail must identify the offending job by naming
     /// its id in the error via [`SimError::with_context`]; the engine adds
-    /// only batch-level context. Note the Chronos policies deliberately
-    /// never fail here — per-job planning errors are memoized and resolved
-    /// to the configured fallback `r` at submission, exactly as on the
-    /// unbatched path.
+    /// only batch-level context.
     fn on_job_batch(&mut self, jobs: &[JobSubmitView]) -> Result<BatchPlan, SimError> {
         let _ = jobs;
         Ok(BatchPlan::default())
@@ -345,29 +342,22 @@ pub trait SpeculationPolicy: fmt::Debug + Send {
     /// hands it back at every check as [`JobView::chosen_r`].
     fn on_job_submit(&mut self, job: &JobSubmitView) -> SubmitDecision;
 
-    /// Whether [`SpeculationPolicy::on_job_submit`] and
-    /// [`SpeculationPolicy::check_schedule`] are pure functions of the
-    /// job's *profile* — every [`JobSubmitView`] field except the id.
-    ///
-    /// Returning `true` opts the policy into the engine's submit
-    /// memoization: jobs sharing a profile are planned once and subsequent
-    /// arrivals replay the cached `(SubmitDecision, CheckSchedule)` through
-    /// [`SpeculationPolicy::on_job_submit_replayed`] — the `chronos-plan`
-    /// batch dedup applied at simulation time. Policies whose submit
-    /// decisions depend on the job id, on mutable state, or on anything
-    /// beyond the profile must keep the default `false`.
+    /// Inert: the engine never reads it, and no policy in this workspace
+    /// overrides it. It used to switch on an engine-side submit memo, which
+    /// is gone; repeated profiles are now deduplicated by the `PlanCache`
+    /// alone. It stays only because the `perfbench` harness's policy
+    /// wrapper still forwards it; the next benchmark change deletes it
+    /// together with that forward.
     fn submit_is_profile_pure(&self) -> bool {
         false
     }
 
-    /// Called instead of [`SpeculationPolicy::on_job_submit`] when the
-    /// engine replays an already-decided submission: a memoized decision
-    /// for a profile-pure policy (see
-    /// [`SpeculationPolicy::submit_is_profile_pure`]) or a [`BatchPlan`]
-    /// override. The replayed decision's `reported_r` reaches the job's
-    /// checks through [`JobView::chosen_r`] without this hook, so the
-    /// default does nothing; it exists for wrappers that observe every
-    /// decision (for example to count or time them).
+    /// Called instead of [`SpeculationPolicy::on_job_submit`] when a
+    /// [`BatchPlan`] override decides a job's submission. The override's
+    /// `reported_r` reaches the job's checks through [`JobView::chosen_r`]
+    /// without this hook, so the default does nothing; it exists for
+    /// wrappers that observe every decision (for example to count or time
+    /// them).
     fn on_job_submit_replayed(&mut self, job: &JobSubmitView, decision: SubmitDecision) {
         let _ = (job, decision);
     }
@@ -396,11 +386,6 @@ impl SpeculationPolicy for NoSpeculation {
 
     fn check_schedule(&self, _job: &JobSubmitView) -> CheckSchedule {
         CheckSchedule::Never
-    }
-
-    fn submit_is_profile_pure(&self) -> bool {
-        // Stateless and id-blind: trivially memoizable.
-        true
     }
 
     fn on_check(&mut self, _view: &JobView) -> Vec<PolicyAction> {

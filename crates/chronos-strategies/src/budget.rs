@@ -287,10 +287,6 @@ impl SpeculationPolicy for BudgetedPolicy {
     }
 
     fn on_job_batch(&mut self, jobs: &[JobSubmitView]) -> Result<BatchPlan, SimError> {
-        // Warm the inner policy's planner first (its plan is empty: the
-        // Chronos strategies only prefetch here).
-        self.inner.on_job_batch(jobs)?;
-
         // Jobs whose request cannot even be formed are infeasible for the
         // closed forms: granted zero, like jobs whose plan fails inside the
         // allocator.
@@ -331,9 +327,7 @@ impl SpeculationPolicy for BudgetedPolicy {
     fn on_job_submit(&mut self, job: &JobSubmitView) -> SubmitDecision {
         // Batched submissions are always overridden; an out-of-band
         // submission falls through to the inner policy, unbudgeted (and its
-        // reported r keeps its checks live). The trait's default
-        // `submit_is_profile_pure` (false) keeps the profile-keyed submit
-        // memo off: a job's grant depends on its competitors in the batch.
+        // reported r keeps its checks live).
         self.inner.on_job_submit(job)
     }
 

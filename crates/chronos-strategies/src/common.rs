@@ -190,8 +190,7 @@ impl PolicyPlanner {
     }
 
     /// An unmemoized planner: the bit-identical reference path (used by the
-    /// scale tests and the `planner` benches to prove memoization changes
-    /// wall-clock only).
+    /// scale tests to prove memoization changes wall-clock only).
     #[must_use]
     pub fn uncached(config: ChronosPolicyConfig) -> Self {
         PolicyPlanner {
@@ -299,29 +298,6 @@ impl PolicyPlanner {
         self.try_plan(job, kind)
             .map(|plan| plan.outcome.r)
             .unwrap_or(self.config.fallback_r)
-    }
-
-    /// Batches the planning of a whole submitted batch (the
-    /// `SpeculationPolicy::on_job_batch` hook): deduplicates the batch by
-    /// profile key and solves each distinct profile once into the cache, so
-    /// the per-job [`PolicyPlanner::optimize_r`] calls that follow are pure
-    /// lookups. Jobs whose request cannot even be formed (and per-job
-    /// planning errors) are left for the per-job path to resolve to
-    /// `fallback_r`, exactly as before batching — this hook never fails.
-    pub fn warm_batch(&self, jobs: &[JobSubmitView], kind: StrategyKind) {
-        if self.config.fixed_r.is_some() {
-            return;
-        }
-        if let PlanBackend::Planned(planner) = &self.backend {
-            let requests: Vec<PlanRequest> = jobs
-                .iter()
-                .filter_map(|job| self.request_for(job, kind).ok())
-                .collect();
-            // One worker: this already runs inside a shard worker thread;
-            // the win here is deduplication + cross-shard memoization, not
-            // more threads.
-            let _ = planner.plan_batch(&requests, 1);
-        }
     }
 }
 
@@ -635,29 +611,8 @@ mod tests {
     }
 
     #[test]
-    fn warm_batch_makes_submissions_pure_lookups() {
-        let planner = PolicyPlanner::new(ChronosPolicyConfig::testbed());
-        let batch: Vec<JobSubmitView> = (0..8)
-            .map(|i| JobSubmitView {
-                job: chronos_sim::prelude::JobId::new(i),
-                ..submit_view(100.0)
-            })
-            .collect();
-        planner.warm_batch(&batch, StrategyKind::Clone);
-        let warmed = planner.cache_stats().unwrap();
-        assert_eq!(warmed.misses, 1, "one distinct profile in the batch");
-        assert_eq!(warmed.lookups(), 8);
-        // The per-job submissions that follow never solve again.
-        for view in &batch {
-            let _ = planner.optimize_r(view, StrategyKind::Clone);
-        }
-        assert_eq!(planner.cache_stats().unwrap().misses, 1);
-    }
-
-    #[test]
     fn fixed_r_bypasses_the_planner_cache() {
         let planner = PolicyPlanner::new(ChronosPolicyConfig::testbed().with_fixed_r(5));
-        planner.warm_batch(&[submit_view(100.0)], StrategyKind::Clone);
         assert_eq!(
             planner.optimize_r(&submit_view(100.0), StrategyKind::Clone),
             5

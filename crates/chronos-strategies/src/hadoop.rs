@@ -55,12 +55,6 @@ impl SpeculationPolicy for HadoopSpeculate {
         SubmitDecision::default()
     }
 
-    fn submit_is_profile_pure(&self) -> bool {
-        // Submission is a constant decision and the scan schedule depends
-        // only on the configured period; no per-job state to mirror.
-        true
-    }
-
     fn check_schedule(&self, _job: &JobSubmitView) -> CheckSchedule {
         CheckSchedule::Periodic {
             first: self.scan_period_secs,

@@ -9,8 +9,8 @@ use crate::{clone, restart, resume};
 use chronos_core::{ChronosError, StrategyKind};
 use chronos_plan::PlanRequest;
 use chronos_sim::prelude::{
-    BatchPlan, CheckSchedule, JobSubmitView, JobView, PlanCache, PolicyAction, SimError,
-    SpeculationPolicy, SubmitDecision,
+    CheckSchedule, JobSubmitView, JobView, PlanCache, PolicyAction, SpeculationPolicy,
+    SubmitDecision,
 };
 use std::sync::Arc;
 
@@ -120,19 +120,8 @@ impl SpeculationPolicy for ChronosPolicy {
         self.kind.label()
     }
 
-    fn on_job_batch(&mut self, jobs: &[JobSubmitView]) -> Result<BatchPlan, SimError> {
-        self.planner.warm_batch(jobs, self.kind);
-        Ok(BatchPlan::default())
-    }
-
     fn on_job_submit(&mut self, job: &JobSubmitView) -> SubmitDecision {
         self.decision(self.planner.optimize_r(job, self.kind))
-    }
-
-    fn submit_is_profile_pure(&self) -> bool {
-        // The planned `r` and the check schedule are functions of the job
-        // profile alone (memoization is wall-clock only).
-        true
     }
 
     fn check_schedule(&self, job: &JobSubmitView) -> CheckSchedule {

@@ -3,16 +3,19 @@
 //! simulations **bit for bit** — both through the unlimited builder path
 //! (which does not wrap at all) and through a finite-but-ample
 //! `Limited(u64::MAX)` budget, which exercises the whole override
-//! machinery (batch allocation, `BatchPlan` overrides, replayed submit
-//! bookkeeping) and must still change nothing.
+//! machinery (batch allocation, `BatchPlan` overrides applied at arrival in
+//! place of the per-job submit) and must still change nothing. A budgeted
+//! round also plans each job exactly once: the allocator's lookups are the
+//! only plan-cache traffic of a budgeted batch.
 
 use chronos_core::Pareto;
 use chronos_sim::prelude::{
-    ClusterSpec, EstimatorKind, JobId, JobSpec, JvmModel, ShardSpec, SimConfig, SimTime,
+    ClusterSpec, EstimatorKind, JobId, JobSpec, JvmModel, PlanCache, ShardSpec, SimConfig, SimTime,
     Simulation, SimulationReport, SpeculationPolicy,
 };
 use chronos_strategies::prelude::*;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Deadlines comfortably beyond the testbed `τ_est = 40 s`, so every job is
 /// feasible for all three strategies (infeasible jobs are *meant* to differ
@@ -92,11 +95,45 @@ proptest! {
         prop_assert_eq!(&run(unlimited, sim_seed, workload(seed, jobs)), &baseline);
 
         // Ample finite budget: the full override path runs — allocation,
-        // BatchPlan overrides, replayed bookkeeping — and must be inert.
+        // BatchPlan overrides applied at arrival — and must be inert.
         let ample = PolicyBuilder::new(config)
             .budgeted(SpeculationBudget::Limited(u64::MAX))
             .build(kind)
             .expect("optimizing strategies are budgetable");
         prop_assert_eq!(&run(ample, sim_seed, workload(seed, jobs)), &baseline);
     }
+}
+
+#[test]
+fn a_budgeted_round_looks_each_job_up_once() {
+    // Nine jobs over three profiles (the deadline differs), one batch,
+    // s-restart under a budget that cuts some of the jobs.
+    let jobs: Vec<JobSpec> = (0..9u64)
+        .map(|index| {
+            let mut spec = JobSpec::new(
+                JobId::new(index),
+                SimTime::from_secs(index as f64 * 3.0),
+                DEADLINES[(index % 3) as usize],
+                4,
+            );
+            spec.profile = Pareto::new(20.0, 1.5).unwrap();
+            spec
+        })
+        .collect();
+    let cache = PlanCache::shared();
+    let policy = PolicyBuilder::new(ChronosPolicyConfig::testbed())
+        .cached(Arc::clone(&cache))
+        .budgeted(SpeculationBudget::Limited(4))
+        .build(PolicyKind::SpeculativeRestart)
+        .expect("optimizing strategies are budgetable");
+    let report = run(policy, 7, jobs);
+    assert_eq!(report.job_count(), 9);
+    // The allocator plans each job once; every arrival is overridden and
+    // never reaches the planner again.
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.lookups(), stats.misses, stats.hits),
+        (9, 3, 6),
+        "{stats:?}"
+    );
 }

@@ -30,9 +30,9 @@
 //!   override's `reported_r` is what [`JobView::chosen_r`] carries at the
 //!   job's checks;
 //! * every job without an override reaches
-//!   [`SpeculationPolicy::on_job_submit`] at its arrival: the engine keeps
-//!   no submit memo of its own, so a policy that wants repeated profiles
-//!   planned once plans through a `chronos-plan` `PlanCache`;
+//!   [`SpeculationPolicy::on_job_submit`] at its arrival; a policy that
+//!   wants repeated profiles planned once plans through a `chronos-plan`
+//!   `PlanCache`;
 //! * [`SpeculationPolicy::name`] now returns `&str` — it was `String`, an
 //!   allocation per call for a value `Simulation::new` caches anyway;
 //!   implementations return their literal directly.
@@ -343,10 +343,9 @@ pub trait SpeculationPolicy: fmt::Debug + Send {
     fn on_job_submit(&mut self, job: &JobSubmitView) -> SubmitDecision;
 
     /// Inert: the engine never reads it, and no policy in this workspace
-    /// overrides it. It used to switch on an engine-side submit memo, which
-    /// is gone; repeated profiles are now deduplicated by the `PlanCache`
-    /// alone. It stays only because the `perfbench` harness's policy
-    /// wrapper still forwards it; the next benchmark change deletes it
+    /// overrides it; repeated profiles are deduplicated by the `PlanCache`
+    /// alone. It remains only because the `perfbench` harness's policy
+    /// wrapper forwards it, and the next benchmark change deletes it
     /// together with that forward.
     fn submit_is_profile_pure(&self) -> bool {
         false

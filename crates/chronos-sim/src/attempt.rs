@@ -8,7 +8,7 @@
 //! up, exactly as Hadoop's map-phase progress score does.
 
 use crate::ids::{AttemptId, JobId, NodeId, TaskId};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Lifecycle state of an attempt.
@@ -37,17 +37,23 @@ pub struct Attempt {
     pub created_at: SimTime,
     /// Fraction of the split already processed before this attempt started
     /// (Speculative-Resume hand-off offset); `0` for ordinary attempts.
+    /// [`Attempt::start`] derives the completion instant from it.
     pub start_fraction: f64,
     /// Current lifecycle state.
     pub state: AttemptState,
     /// Node the attempt runs on, once started.
     pub node: Option<NodeId>,
     /// When the container was assigned and the JVM began launching.
+    /// [`Attempt::start`] derives the work-start and completion instants
+    /// from it.
     pub launched_at: Option<SimTime>,
     /// JVM launch delay in seconds (no useful work happens during it).
+    /// [`Attempt::start`] derives the work-start and completion instants
+    /// from it.
     pub jvm_delay_secs: f64,
     /// Time, in seconds, this attempt would need to process the entire split
     /// (already including the node slowdown and the task size factor).
+    /// [`Attempt::start`] derives the completion instant from it.
     pub work_duration_secs: f64,
     /// When the attempt stopped running (finished or killed).
     pub ended_at: Option<SimTime>,
@@ -55,6 +61,12 @@ pub struct Attempt {
     /// sibling chain headed by
     /// [`TaskRuntime::first_attempt`](crate::job::TaskRuntime::first_attempt).
     pub next_sibling: Option<AttemptId>,
+    /// `launched_at + jvm_delay_secs`, set by [`Attempt::start`]; read only
+    /// once `launched_at` is set.
+    work_start_at: SimTime,
+    /// `work_start_at + (1 − start_fraction) · work_duration_secs`, set by
+    /// [`Attempt::start`]; read only once `launched_at` is set.
+    completes_at: SimTime,
 }
 
 impl Attempt {
@@ -80,18 +92,32 @@ impl Attempt {
             work_duration_secs: 0.0,
             ended_at: None,
             next_sibling: None,
+            work_start_at: SimTime::ZERO,
+            completes_at: SimTime::ZERO,
         }
     }
 
     /// Marks the attempt as started on `node` at `now` with the given JVM
-    /// delay and full-split processing time.
-    pub fn start(&mut self, node: NodeId, now: SimTime, jvm_delay_secs: f64, work_secs: f64) {
+    /// delay and full-split processing time, and computes the work-start and
+    /// completion instants once: the checks read them for every attempt at
+    /// every check point. Returns the completion instant.
+    pub fn start(
+        &mut self,
+        node: NodeId,
+        now: SimTime,
+        jvm_delay_secs: f64,
+        work_secs: f64,
+    ) -> SimTime {
         debug_assert_eq!(self.state, AttemptState::Pending);
         self.state = AttemptState::Running;
         self.node = Some(node);
         self.launched_at = Some(now);
         self.jvm_delay_secs = jvm_delay_secs.max(0.0);
         self.work_duration_secs = work_secs.max(f64::MIN_POSITIVE);
+        self.work_start_at = now + SimDuration::from_secs(self.jvm_delay_secs);
+        let remaining = (1.0 - self.start_fraction) * self.work_duration_secs;
+        self.completes_at = self.work_start_at + SimDuration::from_secs(remaining);
+        self.completes_at
     }
 
     /// True while the attempt occupies (or waits for) a container.
@@ -109,19 +135,13 @@ impl Attempt {
     /// The instant useful work begins (JVM fully launched), if started.
     #[must_use]
     pub fn work_start(&self) -> Option<SimTime> {
-        self.launched_at
-            .map(|t| t + crate::time::SimDuration::from_secs(self.jvm_delay_secs))
+        self.launched_at.map(|_| self.work_start_at)
     }
 
     /// The completion instant this attempt will reach if left alone.
     #[must_use]
     pub fn completion_time(&self) -> Option<SimTime> {
-        self.launched_at.map(|launched| {
-            let remaining = (1.0 - self.start_fraction) * self.work_duration_secs;
-            launched
-                + crate::time::SimDuration::from_secs(self.jvm_delay_secs)
-                + crate::time::SimDuration::from_secs(remaining)
-        })
+        self.launched_at.map(|_| self.completes_at)
     }
 
     /// Progress score (fraction of the split processed) at time `now`,
@@ -260,5 +280,71 @@ mod tests {
     fn work_start_offset_by_jvm_delay() {
         let a = started_attempt(3.5, 10.0, 0.0);
         assert_eq!(a.work_start(), Some(SimTime::from_secs(13.5)));
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The instants `start` caches equal the expressions the
+            /// accessors evaluated on every call before they were cached:
+            /// fresh and resumed attempts, with JVM and work times down to
+            /// fractions of a microsecond, probed before, at and after
+            /// work start and completion.
+            #[test]
+            fn cached_instants_match_the_launch_expressions(
+                launched_micros in 0u64..10_000_000_000,
+                jvm in 0.0f64..30.0,
+                work in 0.0f64..2_000.0,
+                offset in 0.0f64..1.0,
+                kind in 0usize..4,
+                probe in 0.0f64..1.5,
+            ) {
+                // Kinds 0 and 1 are fresh attempts, 2 and 3 resumed ones;
+                // odd kinds scale both times below one microsecond.
+                let scale = if kind % 2 == 1 { 1e-6 } else { 1.0 };
+                let fraction = if kind >= 2 { offset } else { 0.0 };
+                let mut a = Attempt::pending(
+                    AttemptId::new(1),
+                    TaskId::new(2),
+                    JobId::new(3),
+                    SimTime::ZERO,
+                    fraction,
+                );
+                let launched = SimTime::from_micros(launched_micros);
+                a.start(NodeId::new(0), launched, jvm * scale, work * scale);
+
+                let work_start = launched + SimDuration::from_secs(a.jvm_delay_secs);
+                let remaining = (1.0 - a.start_fraction) * a.work_duration_secs;
+                let completion = launched
+                    + SimDuration::from_secs(a.jvm_delay_secs)
+                    + SimDuration::from_secs(remaining);
+                prop_assert_eq!(a.work_start(), Some(work_start));
+                prop_assert_eq!(a.completion_time(), Some(completion));
+
+                let progress = |now: SimTime| {
+                    if now <= work_start {
+                        if a.start_fraction > 0.0 { a.start_fraction } else { 0.0 }
+                    } else {
+                        let elapsed = (now - work_start).as_secs();
+                        (a.start_fraction + elapsed / a.work_duration_secs).min(1.0)
+                    }
+                };
+                let span = a.jvm_delay_secs + a.work_duration_secs;
+                let probes = [
+                    launched,
+                    work_start,
+                    completion,
+                    launched + SimDuration::from_secs(probe * span),
+                    completion + SimDuration::from_micros(1),
+                ];
+                for now in probes {
+                    prop_assert_eq!(a.progress_at(now).to_bits(), progress(now).to_bits());
+                }
+            }
+        }
     }
 }

@@ -191,6 +191,13 @@ impl Node {
 /// previous `max_by_key(free_slots)` scan exactly (`max_by_key` returns the
 /// last of equally-maximal elements), so placements — and therefore the
 /// straggler patterns on slowed nodes — are bit-identical to the old code.
+///
+/// Per-node completion tracking exists only for
+/// [`PlacementPolicy::DeadlineAware`], whose placement score is its only
+/// reader: under `MostFree` and `BinPack`,
+/// [`ResourceManager::note_scheduled_completion`] records nothing and
+/// [`ResourceManager::release_scheduled`] is a plain
+/// [`ResourceManager::release`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResourceManager {
     nodes: Vec<Node>,
@@ -209,9 +216,10 @@ pub struct ResourceManager {
     /// Per node: the scheduled completion times (absolute sim micros) of
     /// the attempts running on it, maintained by the engine through
     /// [`ResourceManager::note_scheduled_completion`] /
-    /// [`ResourceManager::release_scheduled`]. `DeadlineAware` derives each
-    /// node's remaining-work window from this; the inner vectors are bounded
-    /// by `slots_per_node`, so the max scan stays O(slots), not O(nodes).
+    /// [`ResourceManager::release_scheduled`], under `DeadlineAware` only
+    /// (empty vectors otherwise). `DeadlineAware` derives each node's
+    /// remaining-work window from this; the inner vectors are bounded by
+    /// `slots_per_node`, so the max scan stays O(slots), not O(nodes).
     node_completions: Vec<Vec<u64>>,
 }
 
@@ -351,6 +359,8 @@ impl ResourceManager {
         }
         let count = self.max_free as usize;
         debug_assert!(count > 0, "free_total > 0 implies a non-empty top bucket");
+        // Invariant: `max_free` names a non-empty bucket while `free_total > 0`.
+        #[allow(clippy::expect_used)]
         let (word, bits) = self.free_index[count]
             .iter()
             .enumerate()
@@ -481,8 +491,12 @@ impl ResourceManager {
 
     /// Records that the attempt just started on `node` is scheduled to
     /// complete at `completion_micros` (absolute sim micros). Unknown nodes
-    /// are ignored. Paired with [`ResourceManager::release_scheduled`].
+    /// are ignored, and so is every call unless the placement policy is
+    /// `DeadlineAware`. Paired with [`ResourceManager::release_scheduled`].
     pub fn note_scheduled_completion(&mut self, node: NodeId, completion_micros: u64) {
+        if self.placement != PlacementPolicy::DeadlineAware {
+            return;
+        }
         if let Some(entries) = self.node_completions.get_mut(node.raw() as usize) {
             entries.push(completion_micros);
         }
@@ -491,7 +505,8 @@ impl ResourceManager {
     /// Releases a slot on `node` and forgets the attempt's scheduled
     /// completion time. Completion times that were never noted (e.g. slots
     /// assigned through the bare [`ResourceManager::try_assign`] test entry
-    /// point) are silently absent.
+    /// point, or any slot under a placement policy other than
+    /// `DeadlineAware`) are silently absent.
     ///
     /// # Errors
     ///
@@ -502,6 +517,9 @@ impl ResourceManager {
         completion_micros: u64,
     ) -> Result<(), SimError> {
         self.release(node)?;
+        if self.placement != PlacementPolicy::DeadlineAware {
+            return Ok(());
+        }
         let entries = &mut self.node_completions[node.raw() as usize];
         if let Some(pos) = entries
             .iter()
@@ -898,7 +916,8 @@ mod tests {
 
             /// Satellite: after any assign/release sequence, under any
             /// placement policy, the count-bucket index exactly matches a
-            /// from-scratch rebuild from the node table.
+            /// from-scratch rebuild from the node table, and only
+            /// `DeadlineAware` tracks node completions.
             #[test]
             fn index_matches_rebuild_after_any_op_sequence(
                 placement_index in 0usize..3,
@@ -929,6 +948,9 @@ mod tests {
                         rm.release_scheduled(victim.0, victim.1).unwrap();
                     }
                     prop_assert_eq!(rm.consistency_violation(), None);
+                    if placement != PlacementPolicy::DeadlineAware {
+                        prop_assert!(rm.node_completions.iter().all(Vec::is_empty));
+                    }
                 }
             }
 

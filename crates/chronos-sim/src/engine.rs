@@ -8,8 +8,21 @@
 //!
 //! # Hot-loop layout (struct-of-arrays)
 //!
-//! Event dispatch is allocation-free. All runtime state lives in dense
-//! slabs indexed by raw id:
+//! Event dispatch allocates only when a buffer grows, and work done once
+//! per entity is never redone per event:
+//!
+//! * The [`EventQueue`] appends each job's arrival to a sorted run and
+//!   keeps only the in-flight completions and checks in its heap, so a
+//!   shard's queue costs two buffers and a pop sifts through what is in
+//!   flight, not through every pending arrival.
+//! * [`Attempt::start`] computes an attempt's work-start and completion
+//!   instants once; the progress, estimation and completion reads at every
+//!   check take them from the attempt.
+//! * A job's check offsets ([`CheckSchedule::AtOffsets`]) are stored
+//!   inline, and the [`ResourceManager`] tracks per-node completions only
+//!   for the `DeadlineAware` placement that reads them.
+//!
+//! All runtime state lives in dense slabs indexed by raw id:
 //!
 //! * `tasks` and `attempts` are `Vec`s whose index **is** the raw
 //!   [`TaskId`] / [`AttemptId`] — the engine allocates ids by slab length,
@@ -429,9 +442,9 @@ impl Simulation {
         match self.policy.check_schedule(&submit_view) {
             CheckSchedule::Never => {}
             CheckSchedule::AtOffsets(offsets) => {
-                for (index, offset) in (0u32..).zip(offsets) {
+                for (index, offset) in (0u32..).zip(offsets.as_slice()) {
                     self.events.schedule(
-                        submit_time + SimDuration::from_secs(offset),
+                        submit_time + SimDuration::from_secs(*offset),
                         Event::PolicyCheck { job: job_id, index },
                     );
                 }
@@ -760,11 +773,7 @@ impl Simulation {
         let u: f64 = self.rng.gen_range(0.0..1.0);
         let sample = hot.t_min / (1.0 - u).powf(hot.inv_beta);
         let work = sample * hot.size_factor * slowdown;
-        let attempt = &mut self.attempts[attempt_idx];
-        attempt.start(node, self.now, jvm, work);
-        let completion = attempt
-            .completion_time()
-            .expect("started attempts have a completion time");
+        let completion = self.attempts[attempt_idx].start(node, self.now, jvm, work);
         self.rm
             .note_scheduled_completion(node, completion.as_micros());
         self.events
@@ -978,7 +987,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::config::{ClusterSpec, EstimatorKind, JvmModel, ShardSpec};
-    use crate::policy::{NoSpeculation, SubmitDecision};
+    use crate::policy::{CheckOffsets, NoSpeculation, SubmitDecision};
     use chronos_core::Pareto;
 
     fn small_config(seed: u64) -> SimConfig {
@@ -1212,7 +1221,7 @@ mod tests {
         }
 
         fn check_schedule(&self, _job: &JobSubmitView) -> CheckSchedule {
-            CheckSchedule::AtOffsets(vec![self.kill_offset])
+            CheckSchedule::AtOffsets(CheckOffsets::from([self.kill_offset]))
         }
 
         fn on_check(&mut self, view: &JobView) -> Vec<PolicyAction> {
@@ -1261,7 +1270,7 @@ mod tests {
         }
 
         fn check_schedule(&self, _job: &JobSubmitView) -> CheckSchedule {
-            CheckSchedule::AtOffsets(vec![2.0, 6.0])
+            CheckSchedule::AtOffsets(CheckOffsets::from([2.0, 6.0]))
         }
 
         fn on_check(&mut self, view: &JobView) -> Vec<PolicyAction> {
@@ -1529,7 +1538,7 @@ mod tests {
         }
 
         fn check_schedule(&self, _job: &JobSubmitView) -> CheckSchedule {
-            CheckSchedule::AtOffsets(vec![5.0])
+            CheckSchedule::AtOffsets(CheckOffsets::from([5.0]))
         }
 
         fn on_check(&mut self, view: &JobView) -> Vec<PolicyAction> {
@@ -1683,7 +1692,7 @@ mod tests {
 
         fn check_schedule(&self, job: &JobSubmitView) -> CheckSchedule {
             if job.job == JobId::new(1) {
-                CheckSchedule::AtOffsets(vec![1.0])
+                CheckSchedule::AtOffsets(CheckOffsets::from([1.0]))
             } else {
                 CheckSchedule::Never
             }

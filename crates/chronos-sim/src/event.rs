@@ -1,35 +1,31 @@
-//! The discrete-event queue driving the simulation: a paged timer wheel
-//! with a far-future overflow heap.
+//! The discrete-event queue driving the simulation: one sorted FIFO run
+//! plus one binary heap.
 //!
 //! # Ordering contract
 //!
 //! Events are totally ordered by `(time, sequence number)`: the sequence
 //! number is a monotonically increasing tiebreaker so that same-timestamp
-//! events pop in insertion order, keeping runs deterministic. The wheel is
+//! events pop in insertion order, keeping runs deterministic. The layout is
 //! an implementation detail — [`EventQueue::pop`] yields exactly the
 //! sequence a binary heap over `(time, seq)` would, which is what lets the
 //! determinism pyramid (goldens, bit-identity proptests, the 1M-job scale
-//! test) pin the engine rewrite.
+//! test) pin the engine.
 //!
 //! # Layout
 //!
-//! Simulated time (integer microseconds) is split into *pages* of
-//! 2^[`PAGE_SHIFT`] µs (≈ 131 ms). The wheel holds one bucket per page for
-//! the [`WHEEL_BUCKETS`] pages starting at the cursor page — a horizon of
-//! ≈ 9 simulated minutes. Scheduling into the window is an O(1) push into
-//! the page's bucket (plus an occupancy-bitmap bit set); events beyond the
-//! horizon go to a binary-heap overflow and are admitted into the wheel as
-//! the cursor advances past their page. Events at or before the cursor page
-//! (zero-delay wakeups, late reschedules) are clamped into the cursor
-//! bucket; correctness is unaffected because extraction always scans the
-//! cursor bucket for its `(time, seq)` minimum.
+//! An event scheduled at or after the time of the run's last entry (or
+//! into an empty run) is appended to the run; any other event goes to the
+//! heap. Every append carries a higher sequence number than the entry
+//! before it, so the run stays sorted by `(time, seq)` with no comparisons
+//! beyond the one against its back, and [`EventQueue::pop`] takes the
+//! smaller of the run's front and the heap's top.
 //!
-//! Popping takes the minimum of the cursor bucket; when that bucket drains,
-//! the occupancy bitmap finds the next non-empty bucket (or the queue jumps
-//! to the overflow minimum's page), and the overflow is drained into the
-//! freshly exposed window *on every cursor advance* — the invariant that
-//! overflow entries always lie at or beyond the wheel horizon is what makes
-//! the cross-page ordering exact.
+//! A replay of a time-sorted trace submits each shard's jobs in arrival
+//! order before the shard's run starts, so every arrival lands in the run:
+//! each is at or after the one before it. A completion or check scheduled while arrivals are pending
+//! lies before the last arrival and goes to the heap, which therefore
+//! holds only what is in flight; a pop sifts through those entries, never
+//! through the pending arrivals.
 //!
 //! # Lazy deletion and capacity
 //!
@@ -46,7 +42,7 @@ use crate::ids::{AttemptId, JobId};
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A simulation event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -67,21 +63,6 @@ pub enum Event {
         /// Ordinal of the check for that job (0-based).
         index: u32,
     },
-}
-
-/// Number of pages the wheel spans; must be a power of two.
-pub const WHEEL_BUCKETS: usize = 1 << 12;
-/// log₂ of the page width in microseconds: 2^17 µs ≈ 131 ms per bucket.
-pub const PAGE_SHIFT: u32 = 17;
-
-const BUCKET_MASK: u64 = WHEEL_BUCKETS as u64 - 1;
-const OCC_WORDS: usize = WHEEL_BUCKETS / 64;
-// The one-word occupancy summary requires exactly 64 occupancy words.
-const _: () = assert!(OCC_WORDS == 64);
-
-#[inline]
-fn page_of(time: SimTime) -> u64 {
-    time.as_micros() >> PAGE_SHIFT
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,24 +89,14 @@ impl PartialOrd for ScheduledEvent {
 }
 
 /// Priority queue of pending events (see the [module docs](self) for the
-/// timer-wheel layout and the ordering contract).
-#[derive(Debug)]
+/// run-plus-heap layout and the ordering contract).
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    /// One bucket per page in `[cur_page, cur_page + WHEEL_BUCKETS)`,
-    /// indexed by `page & BUCKET_MASK`.
-    buckets: Vec<Vec<ScheduledEvent>>,
-    /// Bit `i` set iff `buckets[i]` is non-empty.
-    occupancy: [u64; OCC_WORDS],
-    /// Two-level index over `occupancy`: bit `w` set iff `occupancy[w]` is
-    /// non-zero, making the next-occupied-bucket scan O(1) instead of a
-    /// walk over all [`OCC_WORDS`] words.
-    occupancy_summary: u64,
-    /// Events at pages ≥ `cur_page + WHEEL_BUCKETS` (beyond the horizon),
-    /// admitted into the wheel as the cursor advances.
-    overflow: BinaryHeap<ScheduledEvent>,
-    /// The page the cursor bucket represents.
-    cur_page: u64,
-    len: usize,
+    /// Entries appended in non-decreasing time order; each carries a higher
+    /// seq than the one before it, so the run is sorted by `(time, seq)`.
+    run: VecDeque<ScheduledEvent>,
+    /// Entries scheduled before the run's back when they arrived.
+    heap: BinaryHeap<ScheduledEvent>,
     next_seq: u64,
 }
 
@@ -133,15 +104,7 @@ impl EventQueue {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        EventQueue {
-            buckets: vec![Vec::new(); WHEEL_BUCKETS],
-            occupancy: [0; OCC_WORDS],
-            occupancy_summary: 0,
-            overflow: BinaryHeap::new(),
-            cur_page: 0,
-            len: 0,
-            next_seq: 0,
-        }
+        EventQueue::default()
     }
 
     /// Schedules `event` at absolute time `time`.
@@ -149,125 +112,40 @@ impl EventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         let entry = ScheduledEvent { time, seq, event };
-        let page = page_of(time);
-        if page >= self.cur_page + WHEEL_BUCKETS as u64 {
-            self.overflow.push(entry);
-        } else {
-            // Pages at or before the cursor clamp into the cursor bucket;
-            // min-extraction keeps them correctly ordered.
-            self.insert_into_wheel(page.max(self.cur_page), entry);
+        match self.run.back() {
+            Some(back) if time < back.time => self.heap.push(entry),
+            _ => self.run.push_back(entry),
         }
-        self.len += 1;
     }
 
-    #[inline]
-    fn insert_into_wheel(&mut self, page: u64, entry: ScheduledEvent) {
-        let idx = (page & BUCKET_MASK) as usize;
-        self.buckets[idx].push(entry);
-        self.occupancy[idx / 64] |= 1 << (idx % 64);
-        self.occupancy_summary |= 1 << (idx / 64);
+    /// True when the run's front precedes the heap's top by `(time, seq)`.
+    fn run_is_next(&self) -> bool {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(run), Some(heap)) => (run.time, run.seq) < (heap.time, heap.seq),
+            (run, _) => run.is_some(),
+        }
     }
 
     /// Pops the earliest event (by `(time, seq)`), if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            let idx = (self.cur_page & BUCKET_MASK) as usize;
-            if !self.buckets[idx].is_empty() {
-                let entry = Self::extract_min(&mut self.buckets[idx]);
-                if self.buckets[idx].is_empty() {
-                    self.occupancy[idx / 64] &= !(1 << (idx % 64));
-                    if self.occupancy[idx / 64] == 0 {
-                        self.occupancy_summary &= !(1 << (idx / 64));
-                    }
-                }
-                self.len -= 1;
-                return Some((entry.time, entry.event));
-            }
-            self.advance(idx);
-        }
-    }
-
-    /// Removes the `(time, seq)`-minimal entry of a non-empty bucket.
-    fn extract_min(bucket: &mut Vec<ScheduledEvent>) -> ScheduledEvent {
-        let mut best = 0;
-        for (i, entry) in bucket.iter().enumerate().skip(1) {
-            let current = &bucket[best];
-            if (entry.time, entry.seq) < (current.time, current.seq) {
-                best = i;
-            }
-        }
-        bucket.swap_remove(best)
-    }
-
-    /// Moves the cursor to the next non-empty bucket (or jumps to the
-    /// overflow minimum's page when the wheel is empty), then admits every
-    /// overflow event that the moved horizon now covers. Admitting on
-    /// *every* advance upholds the invariant that overflow entries lie at
-    /// or beyond the horizon — the ordering proof depends on it.
-    fn advance(&mut self, cursor_idx: usize) {
-        debug_assert!(self.len > 0, "advance on an empty queue");
-        if let Some(delta) = self.next_occupied_delta(cursor_idx) {
-            self.cur_page += delta as u64;
+        let entry = if self.run_is_next() {
+            self.run.pop_front()
         } else {
-            let top = self
-                .overflow
-                .peek()
-                .expect("non-empty queue with an empty wheel has overflow events");
-            self.cur_page = page_of(top.time);
-        }
-        let horizon = self.cur_page + WHEEL_BUCKETS as u64;
-        while let Some(top) = self.overflow.peek() {
-            if page_of(top.time) >= horizon {
-                break;
-            }
-            let entry = self.overflow.pop().expect("peeked entry exists");
-            self.insert_into_wheel(page_of(entry.time), entry);
-        }
-    }
-
-    /// Circular distance (in buckets) from `from_idx` to the next occupied
-    /// bucket, excluding `from_idx` itself; `None` when the wheel is empty.
-    fn next_occupied_delta(&self, from_idx: usize) -> Option<usize> {
-        let start = (from_idx + 1) & (WHEEL_BUCKETS - 1);
-        let word = start / 64;
-        let masked = self.occupancy[word] & (!0u64 << (start % 64));
-        if masked != 0 {
-            let found = word * 64 + masked.trailing_zeros() as usize;
-            return Some((found + WHEEL_BUCKETS - from_idx) & (WHEEL_BUCKETS - 1));
-        }
-        // Rotate the summary so bit `j` is word `word + 1 + j` (mod 64): the
-        // word search becomes one trailing_zeros instead of an OCC_WORDS
-        // walk. `from_idx`'s own bit is always clear here (the caller scans
-        // from an empty bucket), so the found bucket can never be `from_idx`
-        // and the wrap-around delta is always in (0, WHEEL_BUCKETS).
-        let rotated = self
-            .occupancy_summary
-            .rotate_right(((word + 1) % OCC_WORDS) as u32);
-        if rotated == 0 {
-            return None;
-        }
-        let step = rotated.trailing_zeros() as usize + 1;
-        let w = (word + step) % OCC_WORDS;
-        let bits = self.occupancy[w];
-        debug_assert!(bits != 0, "summary bit set for an empty occupancy word");
-        let found = w * 64 + bits.trailing_zeros() as usize;
-        debug_assert_ne!(found, from_idx, "scan restarted from an occupied bucket");
-        Some((found + WHEEL_BUCKETS - from_idx) & (WHEEL_BUCKETS - 1))
+            self.heap.pop()
+        }?;
+        Some((entry.time, entry.event))
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.run.len() + self.heap.len()
     }
 
     /// True when no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.run.is_empty() && self.heap.is_empty()
     }
 
     /// Total number of events ever scheduled on this queue (the sequence
@@ -279,46 +157,22 @@ impl EventQueue {
         self.next_seq
     }
 
-    /// Total allocated entry capacity (wheel buckets plus overflow heap).
-    /// Bounded by the high-water mark of *concurrently* pending events —
-    /// not by the total ever scheduled — which is what the capacity
-    /// regression test pins.
+    /// Total allocated entry capacity (run plus heap). Bounded by the
+    /// high-water mark of *concurrently* pending events — not by the total
+    /// ever scheduled — which is what the capacity regression test pins.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.buckets.iter().map(Vec::capacity).sum::<usize>() + self.overflow.capacity()
+        self.run.capacity() + self.heap.capacity()
     }
 
     /// The timestamp of the next event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
+        if self.run_is_next() {
+            self.run.front().map(|entry| entry.time)
+        } else {
+            self.heap.peek().map(|entry| entry.time)
         }
-        let idx = (self.cur_page & BUCKET_MASK) as usize;
-        let bucket_min = |bucket: &Vec<ScheduledEvent>| {
-            bucket
-                .iter()
-                .map(|entry| (entry.time, entry.seq))
-                .min()
-                .map(|(time, _)| time)
-        };
-        // The cursor bucket, the next occupied bucket or the overflow top —
-        // in that order — holds the global minimum: wheel pages are below
-        // the horizon, overflow pages at or beyond it.
-        if let Some(time) = bucket_min(&self.buckets[idx]) {
-            return Some(time);
-        }
-        if let Some(delta) = self.next_occupied_delta(idx) {
-            let next = ((self.cur_page + delta as u64) & BUCKET_MASK) as usize;
-            return bucket_min(&self.buckets[next]);
-        }
-        self.overflow.peek().map(|entry| entry.time)
-    }
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::new()
     }
 }
 
@@ -380,11 +234,12 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_route_through_the_overflow_heap() {
-        // The wheel horizon is WHEEL_BUCKETS pages; times beyond it must
-        // still pop in exact (time, seq) order after overflow admission.
+    fn far_future_events_pop_in_time_order() {
+        // Times from microseconds to about an hour of simulated time,
+        // scheduled out of order and with one duplicate, must pop in exact
+        // (time, seq) order.
         let mut q = EventQueue::new();
-        let horizon_micros = (WHEEL_BUCKETS as u64) << PAGE_SHIFT;
+        let horizon_micros: u64 = 536_870_912; // ≈ 9 simulated minutes
         let times = [
             horizon_micros * 7 + 3,
             5,
@@ -415,9 +270,8 @@ mod tests {
     }
 
     #[test]
-    fn late_schedules_behind_the_cursor_pop_next() {
-        // Advance the cursor far into the wheel, then schedule an event at
-        // an already-passed page: it clamps into the cursor bucket and must
+    fn late_schedules_behind_the_last_pop_pop_next() {
+        // Pop past an instant, then schedule an event before it: it must
         // pop before everything later.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(100.0), Event::JobArrival(JobId::new(0)));
@@ -431,9 +285,9 @@ mod tests {
         assert!(q.pop().is_none());
     }
 
-    /// The wheel must reproduce a reference `(time, seq)` sort exactly under
-    /// interleaved schedule/pop traffic spanning pages, ties, the overflow
-    /// horizon and zero-delay clamps.
+    /// The queue must reproduce a reference `(time, seq)` sort exactly under
+    /// interleaved schedule/pop traffic spanning ties, far-future times and
+    /// zero-delay schedules.
     #[test]
     fn matches_reference_order_under_random_interleaving() {
         let mut rng = StdRng::seed_from_u64(0xC0FFEE);
@@ -486,7 +340,7 @@ mod tests {
     fn drained_queue_leaves_no_residue_and_bounds_capacity() {
         // Reschedule-heavy traffic: many schedule/pop generations, as an
         // evict + re-speculate run produces. At drain the queue must hold
-        // nothing (no stale entries anywhere in the wheel or overflow) and
+        // nothing (no stale entries in the run or the heap) and
         // its allocated capacity must reflect the concurrent high-water
         // mark, not the 10_000 events that ever flowed through.
         let mut q = EventQueue::new();
@@ -510,11 +364,9 @@ mod tests {
         assert_eq!(q.len(), 0);
         assert!(q.pop().is_none());
         assert!(
-            q.buckets.iter().all(Vec::is_empty) && q.overflow.is_empty(),
+            q.run.is_empty() && q.heap.is_empty(),
             "drained queue retained entries"
         );
-        assert_eq!(q.occupancy, [0u64; OCC_WORDS]);
-        assert_eq!(q.occupancy_summary, 0);
         // Vec growth doubles, so a generous peak-proportional bound still
         // catches capacity scaling with total throughput (10_000 events).
         assert!(
@@ -523,5 +375,86 @@ mod tests {
             q.capacity(),
             peak
         );
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use std::cmp::Reverse;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// A time-sorted arrival batch (all of it in the run), then
+            /// interleaved schedules and pops: schedules at, before and after
+            /// the last popped instant, and at arrival instants still in the
+            /// run, so heap entries tie with run entries. Every pop, peek and
+            /// length must match a `BinaryHeap` over `(time, seq)`.
+            #[test]
+            fn pops_exactly_as_a_binary_heap_over_time_and_seq(
+                salt in 0u64..u64::MAX,
+                arrivals in 0usize..600,
+                ops in 0usize..2_000,
+            ) {
+                let mut rng = StdRng::seed_from_u64(salt);
+                let mut q = EventQueue::new();
+                let mut reference = BinaryHeap::new();
+                let mut seq = 0u64;
+                let mut schedule = |q: &mut EventQueue,
+                                    reference: &mut BinaryHeap<Reverse<(u64, u64)>>,
+                                    micros: u64| {
+                    q.schedule(
+                        SimTime::from_micros(micros),
+                        Event::AttemptCompletion(AttemptId::new(seq)),
+                    );
+                    reference.push(Reverse((micros, seq)));
+                    seq += 1;
+                };
+                let mut arrival_times = Vec::with_capacity(arrivals);
+                let mut at = 0u64;
+                for _ in 0..arrivals {
+                    at += rng.gen_range(0..50u64);
+                    arrival_times.push(at);
+                    schedule(&mut q, &mut reference, at);
+                }
+                let mut last_popped = 0u64;
+                for _ in 0..ops {
+                    if rng.gen_range(0..5) < 2 {
+                        let micros = match rng.gen_range(0..5) {
+                            0 => last_popped,
+                            1 => rng.gen_range(0..=last_popped),
+                            2 if !arrival_times.is_empty() => {
+                                arrival_times[rng.gen_range(0..arrival_times.len())]
+                            }
+                            _ => last_popped + rng.gen_range(0..(at + 100)),
+                        };
+                        schedule(&mut q, &mut reference, micros);
+                    } else {
+                        let expected = reference.pop().map(|Reverse(entry)| entry);
+                        let got = q.pop().map(|(t, e)| match e {
+                            Event::AttemptCompletion(a) => (t.as_micros(), a.raw()),
+                            _ => unreachable!(),
+                        });
+                        prop_assert_eq!(got, expected);
+                        if let Some((micros, _)) = got {
+                            last_popped = micros;
+                        }
+                    }
+                    prop_assert_eq!(q.len(), reference.len());
+                    prop_assert_eq!(
+                        q.peek_time().map(|t| t.as_micros()),
+                        reference.peek().map(|Reverse((micros, _))| *micros)
+                    );
+                }
+                while let Some(Reverse(expected)) = reference.pop() {
+                    let got = q.pop().map(|(t, e)| match e {
+                        Event::AttemptCompletion(a) => (t.as_micros(), a.raw()),
+                        _ => unreachable!(),
+                    });
+                    prop_assert_eq!(got, Some(expected));
+                }
+                prop_assert!(q.pop().is_none());
+            }
+        }
     }
 }

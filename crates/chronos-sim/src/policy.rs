@@ -151,7 +151,7 @@ pub enum CheckSchedule {
     Never,
     /// Call back at fixed offsets (seconds) after submission — Chronos uses
     /// `[τ_est, τ_kill]` (Clone only needs `[τ_kill]`).
-    AtOffsets(Vec<f64>),
+    AtOffsets(CheckOffsets),
     /// Call back periodically until the job completes (Hadoop-S, LATE,
     /// Mantri style scanning).
     Periodic {
@@ -160,6 +160,74 @@ pub enum CheckSchedule {
         /// Seconds between subsequent checks.
         period: f64,
     },
+}
+
+/// The offsets (seconds after submission) of a [`CheckSchedule::AtOffsets`]:
+/// at most [`CheckOffsets::CAPACITY`] of them, stored inline so that
+/// scheduling a job's checks allocates nothing. Built from an array; the
+/// capacity is checked at compile time.
+///
+/// ```
+/// use chronos_sim::prelude::{CheckOffsets, CheckSchedule};
+///
+/// let schedule = CheckSchedule::AtOffsets(CheckOffsets::from([40.0, 80.0]));
+/// let CheckSchedule::AtOffsets(offsets) = schedule else { unreachable!() };
+/// assert_eq!(offsets.as_slice(), [40.0, 80.0]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CheckOffsets {
+    offsets: [f64; CheckOffsets::CAPACITY],
+    len: usize,
+}
+
+impl CheckOffsets {
+    /// The most offsets one schedule holds (`[τ_est, τ_kill]`).
+    pub const CAPACITY: usize = 2;
+
+    /// The offsets, in the order the checks are indexed.
+    #[must_use]
+    pub fn as_slice(&self) -> &[f64] {
+        &self.offsets[..self.len]
+    }
+}
+
+impl<const N: usize> From<[f64; N]> for CheckOffsets {
+    fn from(offsets: [f64; N]) -> Self {
+        const { assert!(N <= CheckOffsets::CAPACITY, "too many check offsets") };
+        let mut inline = [0.0; CheckOffsets::CAPACITY];
+        inline[..N].copy_from_slice(&offsets);
+        CheckOffsets {
+            offsets: inline,
+            len: N,
+        }
+    }
+}
+
+// Hand-written serde impls: the wire form is a plain JSON array of the
+// offsets, and a longer array than the inline capacity is rejected.
+impl Serialize for CheckOffsets {
+    fn to_value(&self) -> serde::Value {
+        self.as_slice().to_value()
+    }
+}
+
+impl<'de> Deserialize<'de> for CheckOffsets {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let offsets = Vec::<f64>::from_value(value)?;
+        if offsets.len() > CheckOffsets::CAPACITY {
+            return Err(serde::Error::msg(format!(
+                "{} check offsets, at most {} allowed",
+                offsets.len(),
+                CheckOffsets::CAPACITY
+            )));
+        }
+        let mut inline = [0.0; CheckOffsets::CAPACITY];
+        inline[..offsets.len()].copy_from_slice(&offsets);
+        Ok(CheckOffsets {
+            offsets: inline,
+            len: offsets.len(),
+        })
+    }
 }
 
 /// Snapshot of one attempt at a check point.
@@ -492,5 +560,17 @@ mod tests {
             cluster_has_waiting_work: false,
         };
         assert!(p.on_check(&view).is_empty());
+    }
+
+    #[test]
+    fn check_offsets_serialize_as_a_plain_array_and_reject_overflow() {
+        let schedule = CheckSchedule::AtOffsets(CheckOffsets::from([40.0, 80.0]));
+        let json = serde_json::to_string(&schedule).unwrap();
+        assert_eq!(json, "{\"AtOffsets\":[40.0,80.0]}");
+        let back: CheckSchedule = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, schedule);
+        let offsets: CheckOffsets = serde_json::from_str("[1.0]").unwrap();
+        assert_eq!(offsets.as_slice(), [1.0]);
+        assert!(serde_json::from_str::<CheckOffsets>("[1.0, 2.0, 3.0]").is_err());
     }
 }

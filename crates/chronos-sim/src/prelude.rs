@@ -12,8 +12,8 @@ pub use crate::ids::{AttemptId, JobId, NodeId, TaskId};
 pub use crate::job::{JobRuntime, JobSpec, TaskRuntime, TaskSpec};
 pub use crate::metrics::{JobMetrics, LatencyHistogram, SimulationReport};
 pub use crate::policy::{
-    AttemptView, BatchDiagnostics, BatchPlan, CheckSchedule, JobSubmitView, JobView, NoSpeculation,
-    PolicyAction, SpeculationPolicy, SubmitDecision, TaskView,
+    AttemptView, BatchDiagnostics, BatchPlan, CheckOffsets, CheckSchedule, JobSubmitView, JobView,
+    NoSpeculation, PolicyAction, SpeculationPolicy, SubmitDecision, TaskView,
 };
 pub use crate::progress::{
     estimate_completion, estimate_completion_chronos, estimate_completion_hadoop,

@@ -254,10 +254,12 @@ impl ShardedRunner {
             done: false,
         };
         let outcome = self.run_shards(workers, adapter, &build_policy, options.trace);
-        if let Some(err) = source_error
+        // Invariant: a worker panic re-raises in `run_shards`, so nothing poisoned this.
+        #[allow(clippy::expect_used)]
+        let source_error = source_error
             .into_inner()
-            .expect("source error lock poisoned")
-        {
+            .expect("source error lock poisoned");
+        if let Some(err) = source_error {
             return Err(ReplayError::Source(err));
         }
         let (report, mut trace) = outcome.map_err(ReplayError::Sim)?;
@@ -348,12 +350,16 @@ impl ShardedRunner {
                         // Hold the queue lock only for the pull: chunk k is
                         // the iterator's k-th yield regardless of the
                         // pulling worker.
+                        // Invariant: only a source panic poisons this; the scope re-raises it.
+                        #[allow(clippy::expect_used)]
                         let next = queue.lock().expect("queue lock poisoned").next();
                         let Some((index, jobs)) = next else {
                             break;
                         };
                         let outcome = self.run_shard(index as u64, jobs, build_policy, trace);
                         let failed = outcome.is_err();
+                        // Invariant: only a panicking fold poisons this; the scope re-raises it.
+                        #[allow(clippy::expect_used)]
                         let mut fold = fold.lock().expect("fold lock poisoned");
                         fold.offer(index, outcome);
                         if failed || fold.failed() {
@@ -364,7 +370,10 @@ impl ShardedRunner {
             }
         });
 
-        fold.into_inner().expect("fold lock poisoned").finish()
+        // Invariant: the scope returned, so no worker panicked while holding the fold.
+        #[allow(clippy::expect_used)]
+        let fold = fold.into_inner().expect("fold lock poisoned");
+        fold.finish()
     }
 
     /// Runs one shard: an ordinary simulation under the shared config with
@@ -492,6 +501,8 @@ where
             Some(Ok(chunk)) => Some(chunk),
             Some(Err(err)) => {
                 self.done = true;
+                // Invariant: nothing can panic while this lock is held, here or after the join.
+                #[allow(clippy::expect_used)]
                 let mut slot = self.slot.lock().expect("source error lock poisoned");
                 // Keep the first error: the queue lock serializes pulls, so
                 // this branch runs at most once anyway, but belt and braces.

@@ -5,7 +5,9 @@
 //!
 //! ```
 //! use chronos_core::{Pareto, StrategyKind};
-//! use chronos_sim::prelude::{CheckSchedule, JobId, JobSubmitView, SpeculationPolicy};
+//! use chronos_sim::prelude::{
+//!     CheckOffsets, CheckSchedule, JobId, JobSubmitView, SpeculationPolicy,
+//! };
 //! use chronos_strategies::prelude::*;
 //!
 //! let mut policy = ChronosPolicy::new(StrategyKind::Clone, ChronosPolicyConfig::testbed());
@@ -22,7 +24,7 @@
 //! assert!(decision.extra_clones_per_task >= 1);
 //! assert_eq!(decision.reported_r, Some(decision.extra_clones_per_task));
 //! // ...and the only check point is τ_kill.
-//! assert_eq!(policy.check_schedule(&job), CheckSchedule::AtOffsets(vec![80.0]));
+//! assert_eq!(policy.check_schedule(&job), CheckSchedule::AtOffsets(CheckOffsets::from([80.0])));
 //! ```
 
 use chronos_sim::prelude::{JobView, PolicyAction};
@@ -79,7 +81,7 @@ mod tests {
     #[test]
     fn schedule_is_single_kill_point() {
         match policy().check_schedule(&submit_view()) {
-            CheckSchedule::AtOffsets(offsets) => assert_eq!(offsets, vec![80.0]),
+            CheckSchedule::AtOffsets(offsets) => assert_eq!(offsets.as_slice(), [80.0]),
             other => panic!("unexpected schedule {other:?}"),
         }
     }

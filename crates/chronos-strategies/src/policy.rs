@@ -9,8 +9,8 @@ use crate::{clone, restart, resume};
 use chronos_core::{ChronosError, StrategyKind};
 use chronos_plan::PlanRequest;
 use chronos_sim::prelude::{
-    CheckSchedule, JobSubmitView, JobView, PlanCache, PolicyAction, SpeculationPolicy,
-    SubmitDecision,
+    CheckOffsets, CheckSchedule, JobSubmitView, JobView, PlanCache, PolicyAction,
+    SpeculationPolicy, SubmitDecision,
 };
 use std::sync::Arc;
 
@@ -127,9 +127,9 @@ impl SpeculationPolicy for ChronosPolicy {
     fn check_schedule(&self, job: &JobSubmitView) -> CheckSchedule {
         let (tau_est, tau_kill) = self.config().timing.resolve(job.profile.t_min());
         CheckSchedule::AtOffsets(match self.kind {
-            StrategyKind::Clone => vec![tau_kill],
+            StrategyKind::Clone => CheckOffsets::from([tau_kill]),
             StrategyKind::SpeculativeRestart | StrategyKind::SpeculativeResume => {
-                vec![tau_est, tau_kill]
+                CheckOffsets::from([tau_est, tau_kill])
             }
         })
     }

@@ -6,7 +6,9 @@
 //!
 //! ```
 //! use chronos_core::{Pareto, StrategyKind};
-//! use chronos_sim::prelude::{CheckSchedule, JobId, JobSubmitView, SpeculationPolicy};
+//! use chronos_sim::prelude::{
+//!     CheckOffsets, CheckSchedule, JobId, JobSubmitView, SpeculationPolicy,
+//! };
 //! use chronos_strategies::prelude::*;
 //!
 //! let mut policy = ChronosPolicy::new(
@@ -27,7 +29,7 @@
 //! assert!(decision.reported_r.unwrap() >= 1);
 //! assert_eq!(
 //!     policy.check_schedule(&job),
-//!     CheckSchedule::AtOffsets(vec![40.0, 80.0])
+//!     CheckSchedule::AtOffsets(CheckOffsets::from([40.0, 80.0]))
 //! );
 //! ```
 
@@ -119,7 +121,7 @@ mod tests {
     #[test]
     fn schedule_has_estimate_and_kill_points() {
         match policy().check_schedule(&submit_view()) {
-            CheckSchedule::AtOffsets(offsets) => assert_eq!(offsets, vec![40.0, 80.0]),
+            CheckSchedule::AtOffsets(offsets) => assert_eq!(offsets.as_slice(), [40.0, 80.0]),
             other => panic!("unexpected schedule {other:?}"),
         }
     }

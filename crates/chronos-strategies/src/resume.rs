@@ -6,7 +6,9 @@
 //!
 //! ```
 //! use chronos_core::{Pareto, StrategyKind};
-//! use chronos_sim::prelude::{CheckSchedule, JobId, JobSubmitView, SpeculationPolicy};
+//! use chronos_sim::prelude::{
+//!     CheckOffsets, CheckSchedule, JobId, JobSubmitView, SpeculationPolicy,
+//! };
 //! use chronos_strategies::prelude::*;
 //!
 //! let mut policy = ChronosPolicy::new(
@@ -27,7 +29,7 @@
 //! assert!(decision.reported_r.unwrap() >= 1);
 //! assert_eq!(
 //!     policy.check_schedule(&job),
-//!     CheckSchedule::AtOffsets(vec![40.0, 80.0])
+//!     CheckSchedule::AtOffsets(CheckOffsets::from([40.0, 80.0]))
 //! );
 //! ```
 
@@ -218,7 +220,7 @@ mod tests {
                 .with_timing(crate::timing::StrategyTiming::of_tmin(0.3, 0.8)),
         );
         match policy.check_schedule(&submit_view()) {
-            CheckSchedule::AtOffsets(offsets) => assert_eq!(offsets, vec![6.0, 16.0]),
+            CheckSchedule::AtOffsets(offsets) => assert_eq!(offsets.as_slice(), [6.0, 16.0]),
             other => panic!("unexpected schedule {other:?}"),
         }
     }

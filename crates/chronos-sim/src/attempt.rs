@@ -304,8 +304,9 @@ mod tests {
                 probe in 0.0f64..1.5,
             ) {
                 // Kinds 0 and 1 are fresh attempts, 2 and 3 resumed ones;
-                // odd kinds scale both times below one microsecond.
-                let scale = if kind % 2 == 1 { 1e-6 } else { 1.0 };
+                // odd kinds scale the JVM delay below 0.03 µs and the work
+                // time below 2 µs, so rounding to whole microseconds matters.
+                let scale = if kind % 2 == 1 { 1e-9 } else { 1.0 };
                 let fraction = if kind >= 2 { offset } else { 0.0 };
                 let mut a = Attempt::pending(
                     AttemptId::new(1),

@@ -13,6 +13,7 @@ use chronos_bench::{
     figure2_lineup, measure, print_table, run_policy, testbed_sim_config, write_json, Row, Scale,
     UtilitySpec,
 };
+use chronos_sim::prelude::PlanCache;
 use chronos_strategies::prelude::*;
 use chronos_trace::prelude::*;
 use serde::Serialize;
@@ -51,7 +52,7 @@ fn main() {
         .expect("baseline simulation");
         let r_min = baseline.pocd();
 
-        for (kind, policy) in figure2_lineup(chronos_config) {
+        for (kind, policy) in figure2_lineup(chronos_config, &PlanCache::shared()) {
             let report = run_policy(
                 &testbed_sim_config(42 + bench_index as u64),
                 policy,

@@ -11,7 +11,7 @@
 //! unchanged.
 
 use chronos_bench::{
-    figure3_lineup_cached, load_trace_jobs_or_exit, measure, print_table, run_policy,
+    figure3_lineup, load_trace_jobs_or_exit, measure, print_table, run_policy,
     trace_path_from_args, trace_sim_config, write_json, Measurement, Row, Scale, UtilitySpec,
 };
 use chronos_sim::prelude::PlanCache;
@@ -52,7 +52,7 @@ fn main() {
         let chronos_config = ChronosPolicyConfig::with_theta(*theta)
             .expect("theta is valid")
             .with_timing(StrategyTiming::trace_default());
-        for (kind, policy) in figure3_lineup_cached(chronos_config, &cache) {
+        for (kind, policy) in figure3_lineup(chronos_config, &cache) {
             let report = run_policy(&trace_sim_config(29 + index as u64), policy, jobs.clone())
                 .expect("simulation");
             let m: Measurement = measure(&report, UtilitySpec::new(*theta, 0.0));

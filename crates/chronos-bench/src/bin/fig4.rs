@@ -11,7 +11,7 @@
 //! point labelled `trace` (its `beta` is `null` in the JSON artifact).
 
 use chronos_bench::{
-    figure2_lineup_cached, load_trace_jobs_or_exit, measure, print_table, run_policy,
+    figure2_lineup, load_trace_jobs_or_exit, measure, print_table, run_policy,
     trace_path_from_args, trace_sim_config, write_json, Row, Scale, UtilitySpec,
 };
 use chronos_sim::prelude::{JobSpec, PlanCache};
@@ -66,7 +66,7 @@ fn main() {
 
     let mut cells: Vec<Fig4Cell> = Vec::new();
     for (index, (label, beta, jobs)) in sweep.iter().enumerate() {
-        for (kind, policy) in figure2_lineup_cached(chronos_config, &cache) {
+        for (kind, policy) in figure2_lineup(chronos_config, &cache) {
             let report = run_policy(&trace_sim_config(37 + index as u64), policy, jobs.clone())
                 .expect("simulation");
             let m = measure(&report, UtilitySpec::new(theta, 0.0));

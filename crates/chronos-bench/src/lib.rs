@@ -36,6 +36,7 @@ use chronos_trace::prelude::{
 };
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Aggregate measurement of one policy over one workload: the three axes the
 /// paper reports, plus diagnostics.
@@ -494,78 +495,64 @@ pub fn read_json<T: for<'de> Deserialize<'de>>(path: &Path) -> std::io::Result<T
 }
 
 /// The standard five-policy line-up of Figure 2 (Hadoop-NS, Hadoop-S and the
-/// three Chronos strategies) built for a given Chronos configuration.
+/// three Chronos strategies) built for a given Chronos configuration over a
+/// shared plan cache: the Chronos strategies memoize their optimizations
+/// into `cache`, so repeated job profiles — within one run and across sweep
+/// points reusing the cache — are solved once. Measurements are
+/// bit-identical to unmemoized policies.
 #[must_use]
 pub fn figure2_lineup(
     config: ChronosPolicyConfig,
+    cache: &Arc<PlanCache>,
 ) -> Vec<(PolicyKind, Box<dyn SpeculationPolicy>)> {
-    [
-        PolicyKind::HadoopNoSpec,
-        PolicyKind::HadoopSpeculate,
-        PolicyKind::Clone,
-        PolicyKind::SpeculativeRestart,
-        PolicyKind::SpeculativeResume,
-    ]
-    .into_iter()
-    .map(|kind| (kind, kind.build(config)))
-    .collect()
+    lineup(
+        &[
+            PolicyKind::HadoopNoSpec,
+            PolicyKind::HadoopSpeculate,
+            PolicyKind::Clone,
+            PolicyKind::SpeculativeRestart,
+            PolicyKind::SpeculativeResume,
+        ],
+        config,
+        cache,
+    )
 }
 
 /// The four-policy line-up of Figure 3 (Mantri plus the three Chronos
-/// strategies).
+/// strategies) over a shared plan cache (see [`figure2_lineup`]).
 #[must_use]
 pub fn figure3_lineup(
     config: ChronosPolicyConfig,
+    cache: &Arc<PlanCache>,
 ) -> Vec<(PolicyKind, Box<dyn SpeculationPolicy>)> {
-    [
-        PolicyKind::Mantri,
-        PolicyKind::Clone,
-        PolicyKind::SpeculativeRestart,
-        PolicyKind::SpeculativeResume,
-    ]
-    .into_iter()
-    .map(|kind| (kind, kind.build(config)))
-    .collect()
+    lineup(
+        &[
+            PolicyKind::Mantri,
+            PolicyKind::Clone,
+            PolicyKind::SpeculativeRestart,
+            PolicyKind::SpeculativeResume,
+        ],
+        config,
+        cache,
+    )
 }
 
-/// [`figure2_lineup`] over a shared plan cache: the Chronos strategies in
-/// the line-up memoize their optimizations into `cache`, so repeated job
-/// profiles — within one run and across sweep points reusing the cache —
-/// are solved once. Measurements are bit-identical to the uncached
-/// line-up.
-#[must_use]
-pub fn figure2_lineup_cached(
+/// Builds `kinds`, unbudgeted, over one shared plan cache.
+fn lineup(
+    kinds: &[PolicyKind],
     config: ChronosPolicyConfig,
-    cache: &std::sync::Arc<PlanCache>,
+    cache: &Arc<PlanCache>,
 ) -> Vec<(PolicyKind, Box<dyn SpeculationPolicy>)> {
-    [
-        PolicyKind::HadoopNoSpec,
-        PolicyKind::HadoopSpeculate,
-        PolicyKind::Clone,
-        PolicyKind::SpeculativeRestart,
-        PolicyKind::SpeculativeResume,
-    ]
-    .into_iter()
-    .map(|kind| (kind, kind.build_with_cache(config, cache)))
-    .collect()
-}
-
-/// [`figure3_lineup`] over a shared plan cache (see
-/// [`figure2_lineup_cached`]).
-#[must_use]
-pub fn figure3_lineup_cached(
-    config: ChronosPolicyConfig,
-    cache: &std::sync::Arc<PlanCache>,
-) -> Vec<(PolicyKind, Box<dyn SpeculationPolicy>)> {
-    [
-        PolicyKind::Mantri,
-        PolicyKind::Clone,
-        PolicyKind::SpeculativeRestart,
-        PolicyKind::SpeculativeResume,
-    ]
-    .into_iter()
-    .map(|kind| (kind, kind.build_with_cache(config, cache)))
-    .collect()
+    let builder = PolicyBuilder::new(config).cached(Arc::clone(cache));
+    kinds
+        .iter()
+        .map(|&kind| {
+            let policy = builder
+                .build(kind)
+                .expect("unbudgeted builds are infallible");
+            (kind, policy)
+        })
+        .collect()
 }
 
 /// FNV-1a 64 digest of a report's canonical JSON, as a hex string. Pinned
@@ -664,10 +651,11 @@ mod tests {
     #[test]
     fn lineups_have_expected_members() {
         let config = ChronosPolicyConfig::testbed();
-        let fig2 = figure2_lineup(config);
+        let cache = PlanCache::shared();
+        let fig2 = figure2_lineup(config, &cache);
         assert_eq!(fig2.len(), 5);
         assert_eq!(fig2[0].0, PolicyKind::HadoopNoSpec);
-        let fig3 = figure3_lineup(config);
+        let fig3 = figure3_lineup(config, &cache);
         assert_eq!(fig3.len(), 4);
         assert_eq!(fig3[0].0, PolicyKind::Mantri);
     }
@@ -739,19 +727,21 @@ mod tests {
         let config = testbed_sim_config(9);
         let chronos = ChronosPolicyConfig::testbed();
         let cache = PlanCache::shared();
-        let cached = figure3_lineup_cached(chronos, &cache);
-        let uncached = figure3_lineup(chronos);
-        for ((kind_a, cached_policy), (kind_b, uncached_policy)) in cached.into_iter().zip(uncached)
-        {
-            assert_eq!(kind_a, kind_b);
+        for (kind, cached_policy) in figure3_lineup(chronos, &cache) {
+            let strategy = StrategyKind::ALL
+                .into_iter()
+                .find(|strategy| strategy.label() == kind.label());
+            let uncached_policy: Box<dyn SpeculationPolicy> = match strategy {
+                Some(strategy) => Box::new(ChronosPolicy::uncached(strategy, chronos)),
+                None => kind.build(chronos),
+            };
             let a = run_policy(&config, cached_policy, jobs.clone()).unwrap();
             let b = run_policy(&config, uncached_policy, jobs.clone()).unwrap();
-            assert_eq!(a, b, "{kind_a:?}");
+            assert_eq!(a, b, "{kind:?}");
             assert_eq!(report_digest(&a), report_digest(&b));
         }
         // The three Chronos strategies shared the cache: one profile each.
         assert_eq!(cache.stats().misses, 3);
-        assert_eq!(figure2_lineup_cached(chronos, &cache).len(), 5);
     }
 
     #[test]

@@ -20,6 +20,7 @@ use chronos_core::prelude::{JobProfile, Optimizer, StrategyParams};
 use chronos_sim::prelude::*;
 use chronos_strategies::prelude::*;
 use chronos_trace::prelude::*;
+use std::sync::Arc;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -119,7 +120,10 @@ fn converted_trace_replays_bit_identically_at_1_and_8_workers() {
         };
         let output = runner
             .run(stream, options, |_| {
-                PolicyKind::SpeculativeResume.build_with_cache(chronos_config, &cache)
+                PolicyBuilder::new(chronos_config)
+                    .cached(Arc::clone(&cache))
+                    .build(PolicyKind::SpeculativeResume)
+                    .expect("unbudgeted builds are infallible")
             })
             .expect("replay succeeds");
         let (report, stats) = (output.report, output.cache_stats.unwrap());

@@ -12,7 +12,7 @@
 
 use chronos_serve::prelude::*;
 use chronos_sim::prelude::JobSpec;
-use chronos_strategies::prelude::{ChronosPolicyConfig, PolicyPlanner, StrategyTiming};
+use chronos_strategies::prelude::{ChronosPolicyConfig, StrategyTiming};
 use chronos_trace::prelude::TraceLoader;
 
 const GOLDEN: &str = concat!(
@@ -89,7 +89,7 @@ fn golden_trace_decisions_are_worker_count_invariant_and_pinned() {
 fn server_decisions_match_a_sequential_policy_planner_reference() {
     // The server's per-job decision must equal what a caller computes by
     // hand from the same seam: best utility across StrategyKind::ALL via
-    // an uncached PolicyPlanner + a fresh Planner per request. This pins
+    // ChronosPolicyConfig::request_for + one unshared Planner. This pins
     // the server's admission logic to the library reference, so the
     // worker pool, memo layers and shared cache change wall-clock only.
     use chronos_core::prelude::{Optimizer, StrategyKind};
@@ -100,7 +100,6 @@ fn server_decisions_match_a_sequential_policy_planner_reference() {
     let served = serve_pass(&jobs, 4);
 
     let policy = ChronosPolicyConfig::testbed().with_timing(StrategyTiming::trace_default());
-    let requests = PolicyPlanner::uncached(policy);
     let planner = Planner::from_optimizer(
         Optimizer::with_config(policy.objective, policy.optimizer).expect("valid config"),
     );
@@ -114,7 +113,7 @@ fn server_decisions_match_a_sequential_policy_planner_reference() {
         };
         let mut best: Option<(StrategyKind, chronos_plan::Plan)> = None;
         for kind in StrategyKind::ALL {
-            let Ok(request) = requests.request_for(&view, kind) else {
+            let Ok(request) = policy.request_for(&view, kind) else {
                 continue;
             };
             let Ok(plan) = planner.plan_request(&request) else {

@@ -55,7 +55,7 @@
 //! than raw slots keeps the allocator exactly on the per-job utility
 //! curves the rest of the system optimizes.
 
-use crate::planner::{PlanRequest, Planner};
+use crate::planner::{PlanRequest, PlanResult, Planner};
 use chronos_core::ChronosError;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -233,10 +233,10 @@ pub fn allocate(
     jobs: &[BudgetJob],
     budget: SpeculationBudget,
 ) -> Result<Allocation, ChronosError> {
-    let requests: Vec<PlanRequest> = jobs.iter().map(|job| job.request).collect();
-    // workers = 1: allocation runs inside a (possibly sharded) policy; the
-    // sharded runner is the concurrency layer, not the allocator.
-    let plans = planner.plan_batch(&requests, 1);
+    let plans: Vec<PlanResult> = jobs
+        .iter()
+        .map(|job| planner.plan_request(&job.request))
+        .collect();
 
     let mut infeasible = 0u32;
     let unconstrained: Vec<u32> = plans
@@ -289,7 +289,7 @@ struct Block {
 fn water_fill(
     planner: &Planner,
     jobs: &[BudgetJob],
-    plans: &[crate::planner::PlanResult],
+    plans: &[PlanResult],
     unconstrained: &[u32],
     limit: u64,
 ) -> Result<Vec<u32>, ChronosError> {
@@ -478,6 +478,8 @@ impl AllocationLedger {
 
     /// Folds one planning round into the ledger.
     pub fn record(&self, allocation: &Allocation) {
+        // Invariant: no code panics while holding the ledger lock.
+        #[allow(clippy::expect_used)]
         let mut state = self.state.lock().expect("ledger lock poisoned");
         for grant in &allocation.grants {
             state.grants.insert(grant.job, grant.copies);
@@ -495,12 +497,16 @@ impl AllocationLedger {
     /// structure, not the thread schedule, determines the batches).
     #[must_use]
     pub fn digest(&self) -> String {
+        // Invariant: no code panics while holding the ledger lock.
+        #[allow(clippy::expect_used)]
         let state = self.state.lock().expect("ledger lock poisoned");
         grants_digest(state.grants.iter().map(|(&job, &copies)| (job, copies)))
     }
 
     /// Totals across every recorded round.
     #[must_use]
+    // Invariant: no code panics while holding the ledger lock.
+    #[allow(clippy::expect_used)]
     pub fn summary(&self) -> LedgerSummary {
         self.state.lock().expect("ledger lock poisoned").summary
     }

@@ -112,6 +112,8 @@ impl Stripe {
         for _lap in 0..2 {
             let mut victim: Option<(usize, ProfileKey, usize)> = None;
             for (position, key) in self.order.iter().enumerate() {
+                // Invariant: every insert and removal updates `map` and `order` together.
+                #[allow(clippy::expect_used)]
                 let resident = self
                     .map
                     .get_mut(key)
@@ -341,14 +343,6 @@ impl PlanCache {
         &self.stripes[index as usize]
     }
 
-    /// Records `count` requests that were served by a batch's in-flight
-    /// deduplication without reaching the map: from the caller's point of
-    /// view those are cache hits (no solve was paid), and counting them
-    /// keeps `stats().lookups()` equal to the number of requests planned.
-    pub(crate) fn note_deduplicated_hits(&self, count: u64) {
-        self.hits.fetch_add(count, Ordering::Relaxed);
-    }
-
     /// Returns the memoized result for `key`, solving it with `compute` on
     /// the first request. Concurrent requests for the same key block on the
     /// in-flight solve instead of re-solving (see the module docs).
@@ -357,6 +351,8 @@ impl PlanCache {
         F: FnOnce() -> PlanResult,
     {
         let slot = {
+            // Invariant: no code panics while holding a stripe lock (solves run outside it).
+            #[allow(clippy::expect_used)]
             let mut stripe = self
                 .stripe_of(&key)
                 .lock()
@@ -401,6 +397,8 @@ impl PlanCache {
     /// inspection API, not a lookup.
     #[must_use]
     pub fn peek(&self, key: &ProfileKey) -> Option<PlanResult> {
+        // Invariant: no code panics while holding a stripe lock (solves run outside it).
+        #[allow(clippy::expect_used)]
         let stripe = self
             .stripe_of(key)
             .lock()
@@ -413,6 +411,8 @@ impl PlanCache {
 
     /// Number of resident entries (including in-flight ones).
     #[must_use]
+    // Invariant: no code panics while holding a stripe lock (solves run outside it).
+    #[allow(clippy::expect_used)]
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
@@ -433,6 +433,8 @@ impl PlanCache {
     /// saturate to zero).
     pub fn clear(&self) {
         for stripe in &self.stripes {
+            // Invariant: no code panics while holding a stripe lock (solves run outside it).
+            #[allow(clippy::expect_used)]
             let mut stripe = stripe.lock().expect("plan cache stripe poisoned");
             stripe.map.clear();
             stripe.order.clear();

@@ -1,8 +1,8 @@
 //! # chronos-plan
 //!
-//! The strategy-planning subsystem of the Chronos reproduction: memoized,
-//! batched execution of the per-job PoCD/cost optimization (Algorithm 1 of
-//! the paper) across workloads that share job classes.
+//! The strategy-planning subsystem of the Chronos reproduction: memoized
+//! execution of the per-job PoCD/cost optimization (Algorithm 1 of the
+//! paper) across workloads that share job classes.
 //!
 //! Real traces — and the synthetic Google-style workloads the evaluation
 //! replays — contain thousands of jobs drawn from a handful of
@@ -18,16 +18,17 @@
 //!   ([`canonical_f64_bits`]), so equal inputs always collide and inputs one
 //!   ULP apart never do;
 //! * [`PlanCache`] — a lock-striped concurrent cache with single-flight
-//!   solves and hit/miss/eviction counters ([`CacheStats`]);
-//! * [`Planner`] — `plan` (memoized, bit-identical to an uncached
-//!   `Optimizer::optimize`) and [`Planner::plan_batch`] (deduplicate a
-//!   request slice, solve each distinct profile once across a scoped worker
-//!   pool, scatter results back in input order);
-//! * [`budget`] — cluster-wide speculation budgets: [`allocate`] distributes
-//!   a shared copy budget across a batch by deterministic greedy
-//!   water-filling over the per-job closed-form utilities, and an
-//!   [`AllocationLedger`] folds per-batch grants into a
-//!   worker-count-invariant digest.
+//!   solves and hit/miss/eviction counters ([`CacheStats`]). It is the only
+//!   place planning is deduplicated;
+//! * [`Planner`] — an optimizer bound to a cache: [`Planner::plan_request`]
+//!   is memoized and bit-identical to an uncached `Optimizer::optimize`,
+//!   and [`Planner::solve_uncached`] is the same solve with the cache
+//!   bypassed;
+//! * [`budget`] — cluster-wide speculation budgets: [`allocate`] plans each
+//!   job of a batch once, in input order, then distributes a shared copy
+//!   budget by deterministic greedy water-filling over the per-job
+//!   closed-form utilities, and an [`AllocationLedger`] folds per-batch
+//!   grants into a worker-count-invariant digest.
 //!
 //! The crate sits between `chronos-core` (whose optimizer it wraps) and the
 //! simulation/benchmark layers (whose policies and replay paths consume it);
@@ -53,11 +54,9 @@
 //!     JobProfile::builder().tasks(200).deadline(150.0).build()?,
 //! ];
 //! let params = StrategyParams::resume(40.0, 80.0, 0.3)?;
-//! let requests: Vec<PlanRequest> = (0..10_000)
-//!     .map(|i| PlanRequest::new(classes[i % 3], params))
+//! let plans: Vec<PlanResult> = (0..10_000)
+//!     .map(|i| planner.plan_request(&PlanRequest::new(classes[i % 3], params)))
 //!     .collect();
-//!
-//! let plans = planner.plan_batch(&requests, 4);
 //!
 //! // One solve per class, 9,997 cache hits …
 //! let stats = planner.stats();
@@ -76,6 +75,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod budget;
 pub mod cache;

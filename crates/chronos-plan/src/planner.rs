@@ -1,4 +1,5 @@
-//! The planner: memoized single plans and deduplicated batch planning.
+//! The planner: an optimizer bound to a plan cache, solving one request at a
+//! time.
 
 use crate::cache::{CacheStats, PlanCache};
 use crate::key::ProfileKey;
@@ -6,9 +7,7 @@ use chronos_core::{
     ChronosError, JobProfile, OptimizationOutcome, Optimizer, StrategyParams, UtilityModel,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One planning problem: a job class plus the strategy parameters to
 /// optimize for it. The objective and optimizer configuration come from the
@@ -69,10 +68,12 @@ pub type PlanResult = Result<Plan, ChronosError>;
 ///
 /// [`Planner::plan`] is a drop-in, bit-identical replacement for
 /// `Optimizer::optimize` — same inputs, same outcome, same errors — that
-/// pays the closed-form solve once per distinct [`ProfileKey`].
-/// [`Planner::plan_batch`] additionally deduplicates a whole slice of
-/// requests up front and fans the distinct solves across a scoped worker
-/// pool.
+/// pays the closed-form solve once per distinct [`ProfileKey`]. The cache
+/// is the only deduplication: a batch is planned by calling
+/// [`Planner::plan_request`] once per job, in order, and each key's first
+/// lookup is its one miss. [`Planner::solve_uncached`] is the same solve
+/// with the cache bypassed, the reference the memoized path is compared
+/// against.
 ///
 /// # Examples
 ///
@@ -158,7 +159,7 @@ impl Planner {
     /// same bound models at `r = 0`. This is the single definition of what
     /// a [`Plan`] *is*: the memoized paths cache its results, and the
     /// uncached reference paths (e.g. `chronos-strategies`'
-    /// `PolicyPlanner::uncached`) call it directly, so the two can never
+    /// `ChronosPolicy::uncached`) call it directly, so the two can never
     /// drift apart.
     ///
     /// # Errors
@@ -201,92 +202,11 @@ impl Planner {
         self.cache
             .get_or_compute(self.key_of(request), || self.solve(request))
     }
-
-    /// Plans a whole slice of requests: deduplicates them by
-    /// [`ProfileKey`], solves each distinct profile once (fanning distinct
-    /// keys across a `std::thread::scope` pool of at most `workers`
-    /// threads, which pull work from a shared queue exactly like the
-    /// sharded simulation runner's workers), and scatters the results back
-    /// in input order.
-    ///
-    /// The returned vector is element-for-element **bit-identical** to
-    /// calling [`Planner::plan`] (or an uncached `Optimizer::optimize`) on
-    /// each request sequentially: deduplication and threading change only
-    /// the wall-clock, never a result. `workers` is clamped to
-    /// `1..=distinct_profiles`; `1` keeps everything on the calling thread.
-    #[must_use]
-    pub fn plan_batch(&self, requests: &[PlanRequest], workers: u32) -> Vec<PlanResult> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        let keys: Vec<ProfileKey> = requests.iter().map(|r| self.key_of(r)).collect();
-
-        // Dedup pass: `distinct[d]` is the input index of the d-th distinct
-        // key (first occurrence); `slot_of[i]` maps input i to its d.
-        let mut distinct: Vec<usize> = Vec::new();
-        let mut index_of: HashMap<ProfileKey, usize> = HashMap::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(requests.len());
-        for (input, key) in keys.iter().enumerate() {
-            let next = distinct.len();
-            let slot = *index_of.entry(*key).or_insert_with(|| {
-                distinct.push(input);
-                next
-            });
-            slot_of.push(slot);
-        }
-
-        // Solve pass: each distinct profile exactly once, results parked in
-        // per-slot once-cells so the scatter below cannot be disturbed by a
-        // concurrent eviction from a capacity-bounded shared cache.
-        let results: Vec<OnceLock<PlanResult>> =
-            (0..distinct.len()).map(|_| OnceLock::new()).collect();
-        let solve_into = |slot: usize| {
-            let input = distinct[slot];
-            let value = self
-                .cache
-                .get_or_compute(keys[input], || self.solve(&requests[input]));
-            let _ = results[slot].set(value);
-        };
-        let workers = (workers.max(1) as usize).min(distinct.len());
-        if workers <= 1 {
-            (0..distinct.len()).for_each(solve_into);
-        } else {
-            let queue = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let slot = queue.fetch_add(1, Ordering::Relaxed);
-                        if slot >= distinct.len() {
-                            break;
-                        }
-                        solve_into(slot);
-                    });
-                }
-            });
-        }
-
-        // Requests absorbed by the dedup pass never reached the map; they
-        // are hits from the caller's perspective (served without a solve).
-        self.cache
-            .note_deduplicated_hits((requests.len() - distinct.len()) as u64);
-
-        // Scatter pass: input order restored.
-        slot_of
-            .iter()
-            .map(|&slot| {
-                results[slot]
-                    .get()
-                    .expect("every distinct slot was solved")
-                    .clone()
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chronos_core::StrategyKind;
 
     fn job(deadline: f64) -> JobProfile {
         JobProfile::builder()
@@ -370,84 +290,6 @@ mod tests {
         let stats = planner.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 2);
-    }
-
-    #[test]
-    fn batch_dedupes_and_scatters_in_input_order() {
-        let planner = planner();
-        let clone = StrategyParams::clone_strategy(80.0);
-        let resume = StrategyParams::resume(40.0, 80.0, 0.4).unwrap();
-        let requests = vec![
-            PlanRequest::new(job(100.0), clone),
-            PlanRequest::new(job(120.0), resume),
-            PlanRequest::new(job(100.0), clone),
-            PlanRequest::new(job(100.0), resume),
-            PlanRequest::new(job(120.0), resume),
-        ];
-        let results = planner.plan_batch(&requests, 4);
-        assert_eq!(results.len(), 5);
-        // 3 distinct profiles solved once each; the 2 duplicates are hits.
-        assert_eq!(planner.stats().misses, 3);
-        assert_eq!(planner.stats().hits, 2);
-        assert_eq!(planner.stats().lookups(), 5);
-        // Scatter restored input order: duplicates are equal, and each
-        // result matches its own request's strategy kind.
-        assert_eq!(results[0], results[2]);
-        assert_eq!(results[1], results[4]);
-        assert_eq!(
-            results[0].as_ref().unwrap().outcome.strategy,
-            StrategyKind::Clone
-        );
-        assert_eq!(
-            results[3].as_ref().unwrap().outcome.strategy,
-            StrategyKind::SpeculativeResume
-        );
-    }
-
-    #[test]
-    fn batch_is_bit_identical_to_sequential_uncached_calls() {
-        let planner = planner();
-        let optimizer = Optimizer::new(UtilityModel::new(1e-4, 0.0).unwrap());
-        let requests: Vec<PlanRequest> = (0..20)
-            .map(|i| {
-                let deadline = [90.0, 100.0, 110.0][i % 3];
-                let params = match i % 2 {
-                    0 => StrategyParams::clone_strategy(80.0),
-                    _ => StrategyParams::resume(40.0, 80.0, 0.4).unwrap(),
-                };
-                PlanRequest::new(job(deadline), params)
-            })
-            .collect();
-        for workers in [1u32, 2, 8] {
-            let results = planner.plan_batch(&requests, workers);
-            for (request, result) in requests.iter().zip(&results) {
-                let direct = optimizer.optimize(&request.job, &request.params).unwrap();
-                let plan = result.as_ref().unwrap();
-                assert_eq!(plan.outcome.r, direct.r);
-                assert_eq!(plan.outcome.utility.to_bits(), direct.utility.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn batch_propagates_per_request_errors_positionally() {
-        let planner = planner();
-        let requests = vec![
-            PlanRequest::new(job(100.0), StrategyParams::clone_strategy(80.0)),
-            PlanRequest::new(job(100.0), StrategyParams::restart(95.0, 99.0).unwrap()),
-            PlanRequest::new(job(100.0), StrategyParams::clone_strategy(80.0)),
-        ];
-        let results = planner.plan_batch(&requests, 2);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let planner = planner();
-        assert!(planner.plan_batch(&[], 4).is_empty());
-        assert_eq!(planner.stats().lookups(), 0);
     }
 
     #[test]

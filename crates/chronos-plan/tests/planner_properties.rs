@@ -1,8 +1,8 @@
-//! Property-based tests for the planner: for *arbitrary* workloads and
-//! worker counts, `Planner::plan_batch` must be element-for-element
-//! bit-identical to sequential, uncached `Optimizer::optimize` calls —
-//! memoization, deduplication and threading are pure wall-clock
-//! optimizations that may never change a result, an error, or their order.
+//! Property-based tests for the planner: for *arbitrary* workloads,
+//! `Planner::plan_request` called once per request must be
+//! element-for-element bit-identical to sequential, uncached
+//! `Optimizer::optimize` calls — memoization is a pure wall-clock
+//! optimization that may never change a result or an error.
 
 use chronos_core::prelude::*;
 use chronos_plan::prelude::*;
@@ -74,13 +74,12 @@ fn outcome_bits(outcome: &OptimizationOutcome) -> (u32, u64, u64, u64, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The headline property: plan_batch ≡ sequential uncached optimize,
-    /// bit for bit, for any workload, any worker count, and any θ.
+    /// The headline property: per-request plan_request ≡ sequential
+    /// uncached optimize, bit for bit, for any workload and any θ.
     #[test]
-    fn plan_batch_is_bit_identical_to_sequential_uncached_optimize(
+    fn plan_request_is_bit_identical_to_sequential_uncached_optimize(
         seed in 0u64..1_000_000,
         len in 1usize..60,
-        workers in 1u32..9,
         theta_exp in 3u32..6,
     ) {
         let theta = 10f64.powi(-(theta_exp as i32));
@@ -88,11 +87,11 @@ proptest! {
         let requests = workload(seed, len);
 
         let planner = Planner::new(objective);
-        let batched = planner.plan_batch(&requests, workers);
-        prop_assert_eq!(batched.len(), requests.len());
+        let planned: Vec<PlanResult> =
+            requests.iter().map(|request| planner.plan_request(request)).collect();
 
         let optimizer = Optimizer::new(objective);
-        for (request, result) in requests.iter().zip(&batched) {
+        for (request, result) in requests.iter().zip(&planned) {
             let direct = optimizer.optimize(&request.job, &request.params);
             match (result, direct) {
                 (Ok(plan), Ok(outcome)) => {
@@ -109,8 +108,8 @@ proptest! {
             }
         }
 
-        // Deduplication really happened: misses equal the distinct key
-        // count, regardless of the worker count.
+        // The cache deduplicated: misses equal the distinct key count, and
+        // every request was one lookup.
         let distinct = {
             let mut keys: Vec<ProfileKey> =
                 requests.iter().map(|r| planner.key_of(r)).collect();
@@ -120,25 +119,5 @@ proptest! {
         };
         prop_assert_eq!(planner.stats().misses, distinct);
         prop_assert_eq!(planner.stats().lookups(), len as u64);
-    }
-
-    /// Worker count never changes a batch's results (including errors).
-    #[test]
-    fn worker_count_is_invisible(seed in 0u64..1_000_000, len in 1usize..40) {
-        let objective = UtilityModel::new(1e-4, 0.0).unwrap();
-        let requests = workload(seed, len);
-        let reference: Vec<Option<(u32, u64)>> = Planner::new(objective)
-            .plan_batch(&requests, 1)
-            .iter()
-            .map(|r| r.as_ref().ok().map(|p| (p.outcome.r, p.outcome.utility.to_bits())))
-            .collect();
-        for workers in [2u32, 5, 8] {
-            let run: Vec<Option<(u32, u64)>> = Planner::new(objective)
-                .plan_batch(&requests, workers)
-                .iter()
-                .map(|r| r.as_ref().ok().map(|p| (p.outcome.r, p.outcome.utility.to_bits())))
-                .collect();
-            prop_assert_eq!(&run, &reference, "workers = {}", workers);
-        }
     }
 }

@@ -6,9 +6,7 @@ use chronos_core::prelude::*;
 use chronos_obs::{DecisionTrace, Digest, MetricsRegistry, TraceEvent};
 use chronos_plan::{CacheStats, PlanCache, Planner, SpeculationBudget};
 use chronos_sim::prelude::{JobId, JobSpec, JobSubmitView, LatencyHistogram};
-use chronos_strategies::prelude::{
-    ChronosPolicyConfig, PolicyBuilder, PolicyPlanner, StrategyTiming,
-};
+use chronos_strategies::prelude::{ChronosPolicyConfig, PolicyBuilder, StrategyTiming};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -351,7 +349,7 @@ struct WorkItem {
 struct ServerShared {
     queue: BoundedQueue<WorkItem>,
     /// Builds the per-strategy plan requests for a job.
-    requests: PolicyPlanner,
+    policy: ChronosPolicyConfig,
     /// Plans each request through the shared single-flight [`PlanCache`]:
     /// the only lookup layer on the admission path.
     planner: Planner,
@@ -381,7 +379,7 @@ impl ServerShared {
         };
         let mut best: Option<(StrategyKind, OptimizationOutcome)> = None;
         for kind in StrategyKind::ALL {
-            let request = self.requests.request_for(&view, kind);
+            let request = self.policy.request_for(&view, kind);
             let Ok(Ok(plan)) = request.map(|request| self.planner.plan_request(&request)) else {
                 continue;
             };
@@ -462,13 +460,13 @@ impl PlanServer {
         // identical closed forms over the shared cache. It also validates
         // the optimizer configuration: a broken config fails startup
         // loudly instead of turning every decision infeasible.
-        let (requests, planner) = PolicyBuilder::new(config.policy)
+        let planner = PolicyBuilder::new(config.policy)
             .cached(cache)
-            .admission_parts()
+            .planner()
             .map_err(|err| ServeError::InvalidConfig(err.to_string()))?;
         let shared = Arc::new(ServerShared {
             queue: BoundedQueue::new(config.queue_capacity),
-            requests,
+            policy: config.policy,
             planner,
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),

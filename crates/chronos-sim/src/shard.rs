@@ -751,8 +751,8 @@ mod tests {
         assert!(err.to_string().contains("shard 0"), "{err}");
     }
 
-    /// A minimal optimizing policy for the planned-path tests: batches its
-    /// planning through a `chronos-plan` planner and clones `r` extra
+    /// A minimal optimizing policy for the planned-path tests: plans each
+    /// batch through a `chronos-plan` planner and clones `r` extra
     /// attempts per task from the memoized plan.
     #[derive(Debug)]
     struct PlanningProbe {
@@ -794,9 +794,9 @@ mod tests {
             &mut self,
             jobs: &[crate::policy::JobSubmitView],
         ) -> Result<crate::policy::BatchPlan, SimError> {
-            let requests: Vec<chronos_plan::PlanRequest> =
-                jobs.iter().filter_map(Self::request_of).collect();
-            let _ = self.planner.plan_batch(&requests, 1);
+            for request in jobs.iter().filter_map(Self::request_of) {
+                let _ = self.planner.plan_request(&request);
+            }
             Ok(crate::policy::BatchPlan::default())
         }
 

@@ -15,9 +15,9 @@
 //! bit-identical to the historical behaviour, and every [`BudgetedPolicy`]
 //! holds a finite budget.
 
-use crate::common::{ChronosPolicyConfig, PolicyPlanner};
+use crate::common::ChronosPolicyConfig;
 use crate::{ChronosPolicy, HadoopNoSpec, HadoopSpeculate, MantriPolicy, PolicyKind};
-use chronos_core::{ChronosError, Optimizer, StrategyKind};
+use chronos_core::{ChronosError, StrategyKind};
 use chronos_plan::{allocate, AllocationLedger, BudgetJob, PlanCache, Planner, SpeculationBudget};
 use chronos_sim::prelude::{
     BatchDiagnostics, BatchPlan, CheckSchedule, JobSubmitView, JobView, PlacementPolicy,
@@ -75,8 +75,8 @@ fn budgeted_strategy(kind: PolicyKind) -> Option<StrategyKind> {
 }
 
 /// The one construction path for every policy this crate builds:
-/// [`PolicyKind::build`], [`PolicyKind::build_with_cache`], the experiment
-/// binaries and the admission server all funnel through it. Options
+/// [`PolicyKind::build`], the experiment binaries and the admission server
+/// ([`PolicyBuilder::planner`]) all funnel through it. Options
 /// compose: a shared [`PlanCache`] memoizes plans across policies and
 /// shards, a [`SpeculationBudget`] wraps the optimizing strategies in a
 /// [`BudgetedPolicy`], and an [`AllocationLedger`] collects every
@@ -188,35 +188,34 @@ impl PolicyBuilder {
         }
         let strategy =
             budgeted_strategy(kind).ok_or(PolicyBuildError::UnbudgetableBaseline { kind })?;
-        let (_, allocator) = self.admission_parts()?;
+        let inner = self.chronos(strategy);
+        inner.planner().map_err(PolicyBuildError::InvalidConfig)?;
         Ok(Box::new(BudgetedPolicy {
-            inner: self.chronos(strategy),
-            allocator,
+            inner,
             budget: self.budget,
             ledger: self.ledger.clone(),
         }))
     }
 
-    /// The two halves of an admission planner built under the configured
-    /// options: a [`PolicyPlanner`] that turns job views into per-strategy
-    /// plan requests, and a [`Planner`] that solves them over the shared
-    /// cache when one is configured. This is the construction path the
-    /// serving layer (`chronos-serve`) and the budgeted wrapper share, so
-    /// online admission decisions and batch allocations are guaranteed to
-    /// run the same closed forms over the same cache.
+    /// The planner the built policies solve through: the configured
+    /// objective and optimizer over the shared cache when one is set (a
+    /// fresh private cache otherwise). The serving layer (`chronos-serve`)
+    /// plans through it, so online admission decisions and batch
+    /// allocations run the same closed forms over the same cache.
     ///
     /// # Errors
     ///
     /// [`PolicyBuildError::InvalidConfig`] when the optimizer
     /// configuration fails validation.
-    pub fn admission_parts(&self) -> Result<(PolicyPlanner, Planner), PolicyBuildError> {
-        let optimizer = Optimizer::with_config(self.config.objective, self.config.optimizer)
-            .map_err(PolicyBuildError::InvalidConfig)?;
-        let planner = match &self.cache {
-            Some(cache) => Planner::with_cache(optimizer, Arc::clone(cache)),
-            None => Planner::from_optimizer(optimizer),
-        };
-        Ok((PolicyPlanner::uncached(self.config), planner))
+    pub fn planner(&self) -> Result<Planner, PolicyBuildError> {
+        self.config
+            .planner(self.plan_cache())
+            .map_err(PolicyBuildError::InvalidConfig)
+    }
+
+    /// The shared cache when one is configured, else a fresh private one.
+    fn plan_cache(&self) -> Arc<PlanCache> {
+        self.cache.clone().unwrap_or_else(PlanCache::shared)
     }
 
     /// The classic per-kind construction (baselines ignore the config; the
@@ -233,10 +232,7 @@ impl PolicyBuilder {
     /// The Chronos policy for `strategy`, over the shared cache when one is
     /// configured.
     fn chronos(&self, strategy: StrategyKind) -> ChronosPolicy {
-        match &self.cache {
-            Some(cache) => ChronosPolicy::with_cache(strategy, self.config, Arc::clone(cache)),
-            None => ChronosPolicy::new(strategy, self.config),
-        }
+        ChronosPolicy::with_cache(strategy, self.config, self.plan_cache())
     }
 }
 
@@ -264,9 +260,8 @@ impl PolicyBuilder {
 /// curves. Construct via [`PolicyBuilder::budgeted`].
 #[derive(Debug)]
 pub struct BudgetedPolicy {
+    /// The capped policy; the allocator plans through its planner.
     inner: ChronosPolicy,
-    /// The allocator's planner; shares the builder's cache when present.
-    allocator: Planner,
     budget: SpeculationBudget,
     ledger: Option<Arc<AllocationLedger>>,
 }
@@ -298,7 +293,10 @@ impl SpeculationPolicy for BudgetedPolicy {
                 plannable[index] = true;
             }
         }
-        let allocation = allocate(&self.allocator, &budget_jobs, self.budget)
+        let allocation = self
+            .inner
+            .planner()
+            .and_then(|planner| allocate(planner, &budget_jobs, self.budget))
             .map_err(|err| SimError::from(err).with_context("allocating the speculation budget"))?;
         if let Some(ledger) = &self.ledger {
             ledger.record(&allocation);
@@ -307,6 +305,8 @@ impl SpeculationPolicy for BudgetedPolicy {
         let mut grants = allocation.grants.iter();
         let mut plan = BatchPlan::new();
         for (index, job) in jobs.iter().enumerate() {
+            // Invariant: `allocate` returns one grant per budget job, in order.
+            #[allow(clippy::expect_used)]
             let copies = if plannable[index] {
                 grants.next().expect("one grant per plannable job").copies
             } else {

@@ -1,11 +1,11 @@
-//! Shared machinery for the Chronos strategies: per-job optimization of the
-//! number of extra attempts `r`, the straggler test and the reactive
-//! strategies' `τ_kill` pruning.
+//! Shared machinery for the Chronos strategies: the configuration and the
+//! plan request each job's `r` is optimized from, the straggler test and the
+//! reactive strategies' `τ_kill` pruning.
 
 use crate::timing::StrategyTiming;
 use chronos_core::prelude::*;
-use chronos_plan::{CacheStats, Plan, PlanCache, PlanRequest, Planner};
-use chronos_sim::prelude::{AttemptView, JobSubmitView, JobView, PolicyAction, SimError, TaskView};
+use chronos_plan::{PlanCache, PlanRequest, Planner};
+use chronos_sim::prelude::{AttemptView, JobSubmitView, JobView, PolicyAction, TaskView};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -72,162 +72,10 @@ impl ChronosPolicyConfig {
         self
     }
 
-    /// Builds the analytical job profile corresponding to a submitted job.
-    ///
-    /// # Errors
-    ///
-    /// Propagates profile validation failures (e.g. a deadline not exceeding
-    /// `t_min`, for which no strategy can be optimized).
-    pub fn job_profile(&self, job: &JobSubmitView) -> Result<JobProfile, ChronosError> {
-        JobProfile::builder()
-            .tasks(job.task_count.max(1))
-            .t_min(job.profile.t_min())
-            .beta(job.profile.beta())
-            .deadline(job.deadline_secs)
-            .price(job.price)
-            .build()
-    }
-
-    /// Runs Algorithm 1 for the given strategy kind on a submitted job and
-    /// returns the optimal `r`, falling back to `fallback_r` when the
-    /// problem is infeasible or the timing is incompatible with the job.
-    /// When [`fixed_r`](Self::fixed_r) is set it is returned directly.
-    #[must_use]
-    pub fn optimize_r(&self, job: &JobSubmitView, kind: StrategyKind) -> u32 {
-        if let Some(fixed) = self.fixed_r {
-            return fixed;
-        }
-        self.try_optimize_r(job, kind).unwrap_or(self.fallback_r)
-    }
-
-    /// Same as [`optimize_r`](Self::optimize_r) but surfacing errors, for
-    /// callers that want to distinguish infeasible jobs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates profile construction, strategy validation and optimizer
-    /// failures.
-    pub fn try_optimize_r(
-        &self,
-        job: &JobSubmitView,
-        kind: StrategyKind,
-    ) -> Result<u32, ChronosError> {
-        let profile = self.job_profile(job)?;
-        let (tau_est, tau_kill) = self.timing.resolve(job.profile.t_min());
-        let params = match kind {
-            StrategyKind::Clone => StrategyParams::clone_strategy(tau_kill),
-            StrategyKind::SpeculativeRestart => StrategyParams::restart(tau_est, tau_kill)?,
-            StrategyKind::SpeculativeResume => {
-                let phi =
-                    expected_straggler_progress(tau_est, job.deadline_secs, job.profile.beta());
-                StrategyParams::resume(tau_est, tau_kill, phi)?
-            }
-        };
-        let optimizer = Optimizer::with_config(self.objective, self.optimizer)?;
-        Ok(optimizer.optimize(&profile, &params)?.r)
-    }
-}
-
-impl Default for ChronosPolicyConfig {
-    fn default() -> Self {
-        ChronosPolicyConfig::testbed()
-    }
-}
-
-/// How a [`PolicyPlanner`] executes its optimizations.
-#[derive(Debug, Clone)]
-enum PlanBackend {
-    /// Unmemoized: every call rebuilds the models and re-runs Algorithm 1,
-    /// exactly like [`ChronosPolicyConfig::try_optimize_r`]. The reference
-    /// the memoized paths are bit-compared against.
-    Direct,
-    /// Memoized through a `chronos-plan` [`Planner`] (private or shared
-    /// cache).
-    Planned(Planner),
-    /// The optimizer configuration failed validation; every planning
-    /// attempt reproduces that error, matching the direct path's behaviour
-    /// for an invalid configuration.
-    Broken(ChronosError),
-}
-
-/// The planning front-end shared by the three Chronos strategies: turns
-/// submit-time job views into `chronos-plan` requests, memoizes the solved
-/// plans (per-policy or across policies/shards via a shared
-/// [`PlanCache`]), and resolves errors to the configured fallback `r`
-/// exactly like the historical per-job path.
-///
-/// # Examples
-///
-/// ```
-/// use chronos_strategies::prelude::*;
-/// use chronos_sim::prelude::PlanCache;
-///
-/// let cache = PlanCache::shared();
-/// let planner = PolicyPlanner::with_cache(ChronosPolicyConfig::testbed(), cache);
-/// assert_eq!(planner.cache_stats().unwrap().lookups(), 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PolicyPlanner {
-    config: ChronosPolicyConfig,
-    backend: PlanBackend,
-}
-
-impl PolicyPlanner {
-    /// A memoizing planner with a fresh private cache: plans are reused
-    /// across the jobs this policy instance sees, but not across policies
-    /// or shards.
-    #[must_use]
-    pub fn new(config: ChronosPolicyConfig) -> Self {
-        PolicyPlanner::with_shared(config, None)
-    }
-
-    /// A memoizing planner over a shared cache: every policy (and every
-    /// shard's policy instance) handed a clone of the same `Arc` reuses one
-    /// plan per distinct job profile.
-    #[must_use]
-    pub fn with_cache(config: ChronosPolicyConfig, cache: Arc<PlanCache>) -> Self {
-        PolicyPlanner::with_shared(config, Some(cache))
-    }
-
-    /// An unmemoized planner: the bit-identical reference path (used by the
-    /// scale tests to prove memoization changes wall-clock only).
-    #[must_use]
-    pub fn uncached(config: ChronosPolicyConfig) -> Self {
-        PolicyPlanner {
-            config,
-            backend: PlanBackend::Direct,
-        }
-    }
-
-    fn with_shared(config: ChronosPolicyConfig, cache: Option<Arc<PlanCache>>) -> Self {
-        let backend = match Optimizer::with_config(config.objective, config.optimizer) {
-            Ok(optimizer) => PlanBackend::Planned(match cache {
-                Some(cache) => Planner::with_cache(optimizer, cache),
-                None => Planner::from_optimizer(optimizer),
-            }),
-            Err(err) => PlanBackend::Broken(err),
-        };
-        PolicyPlanner { config, backend }
-    }
-
-    /// The policy configuration this planner optimizes under.
-    #[must_use]
-    pub fn config(&self) -> &ChronosPolicyConfig {
-        &self.config
-    }
-
-    /// Counter snapshot of the backing cache (`None` for the uncached
-    /// reference backend).
-    #[must_use]
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        match &self.backend {
-            PlanBackend::Planned(planner) => Some(planner.stats()),
-            _ => None,
-        }
-    }
-
-    /// The plan request corresponding to a submitted job under `kind`: the
-    /// analytical profile plus the resolved strategy timing.
+    /// The plan request of a submitted job under strategy `kind`: the
+    /// analytical job profile plus the strategy timing resolved against
+    /// the job's `t_min`. This is the one place a job view becomes a
+    /// [`PlanRequest`].
     ///
     /// # Errors
     ///
@@ -239,8 +87,14 @@ impl PolicyPlanner {
         job: &JobSubmitView,
         kind: StrategyKind,
     ) -> Result<PlanRequest, ChronosError> {
-        let profile = self.config.job_profile(job)?;
-        let (tau_est, tau_kill) = self.config.timing.resolve(job.profile.t_min());
+        let profile = JobProfile::builder()
+            .tasks(job.task_count.max(1))
+            .t_min(job.profile.t_min())
+            .beta(job.profile.beta())
+            .deadline(job.deadline_secs)
+            .price(job.price)
+            .build()?;
+        let (tau_est, tau_kill) = self.timing.resolve(job.profile.t_min());
         let params = match kind {
             StrategyKind::Clone => StrategyParams::clone_strategy(tau_kill),
             StrategyKind::SpeculativeRestart => StrategyParams::restart(tau_est, tau_kill)?,
@@ -253,51 +107,21 @@ impl PolicyPlanner {
         Ok(PlanRequest::new(profile, params))
     }
 
-    /// Plans one submitted job, memoized (unless this is the uncached
-    /// reference backend). The plan's outcome is bit-identical to
-    /// [`ChronosPolicyConfig::try_optimize_r`] on the same inputs.
+    /// A planner over `cache` with this configuration's objective and
+    /// optimizer settings.
     ///
     /// # Errors
     ///
-    /// Any planner error is returned as a [`SimError`] that names the job
-    /// id (via [`SimError::with_context`]), so a surfaced planning failure
-    /// is always attributable to its job.
-    pub fn try_plan(&self, job: &JobSubmitView, kind: StrategyKind) -> Result<Plan, SimError> {
-        let named = |err: ChronosError| {
-            SimError::from(err).with_context(format_args!("planning {}", job.job))
-        };
-        let request = self.request_for(job, kind).map_err(named)?;
-        match &self.backend {
-            PlanBackend::Direct => {
-                // The one definition of an uncached solve lives in
-                // chronos-plan; rebuilding the optimizer per call preserves
-                // the legacy per-submission cost profile this backend is
-                // the reference for.
-                let optimizer =
-                    Optimizer::with_config(self.config.objective, self.config.optimizer)
-                        .map_err(named)?;
-                Planner::from_optimizer(optimizer)
-                    .solve_uncached(&request)
-                    .map_err(named)
-            }
-            PlanBackend::Planned(planner) => planner.plan_request(&request).map_err(named),
-            PlanBackend::Broken(err) => Err(named(err.clone())),
-        }
+    /// The optimizer-validation error of an invalid configuration.
+    pub(crate) fn planner(&self, cache: Arc<PlanCache>) -> Result<Planner, ChronosError> {
+        let optimizer = Optimizer::with_config(self.objective, self.optimizer)?;
+        Ok(Planner::with_cache(optimizer, cache))
     }
+}
 
-    /// The `r` a policy should use for a submitted job: the forced
-    /// [`ChronosPolicyConfig::fixed_r`] when set, the planned optimum when
-    /// the problem is solvable, and [`ChronosPolicyConfig::fallback_r`]
-    /// otherwise — element-for-element identical to the historical
-    /// [`ChronosPolicyConfig::optimize_r`] path.
-    #[must_use]
-    pub fn optimize_r(&self, job: &JobSubmitView, kind: StrategyKind) -> u32 {
-        if let Some(fixed) = self.config.fixed_r {
-            return fixed;
-        }
-        self.try_plan(job, kind)
-            .map(|plan| plan.outcome.r)
-            .unwrap_or(self.config.fallback_r)
+impl Default for ChronosPolicyConfig {
+    fn default() -> Self {
+        ChronosPolicyConfig::testbed()
     }
 }
 
@@ -400,8 +224,9 @@ pub(crate) fn prune_to_fastest(view: &JobView) -> Vec<PolicyAction> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ChronosPolicy;
     use chronos_core::Pareto;
-    use chronos_sim::prelude::{AttemptId, JobId, SimTime, TaskId};
+    use chronos_sim::prelude::{AttemptId, JobId, SimTime, SpeculationPolicy, TaskId};
 
     fn submit_view(deadline: f64) -> JobSubmitView {
         JobSubmitView {
@@ -413,21 +238,33 @@ mod tests {
         }
     }
 
+    /// The `r` a freshly submitted job is given by `policy`.
+    fn submitted_r(policy: &mut ChronosPolicy, deadline: f64) -> u32 {
+        policy
+            .on_job_submit(&submit_view(deadline))
+            .reported_r
+            .expect("Chronos policies always report r")
+    }
+
     #[test]
     fn profiles_built_from_submit_view() {
         let cfg = ChronosPolicyConfig::testbed();
-        let profile = cfg.job_profile(&submit_view(100.0)).unwrap();
-        assert_eq!(profile.tasks(), 10);
-        assert_eq!(profile.t_min(), 20.0);
-        assert_eq!(profile.deadline(), 100.0);
-        assert!(cfg.job_profile(&submit_view(10.0)).is_err());
+        let request = cfg
+            .request_for(&submit_view(100.0), StrategyKind::Clone)
+            .unwrap();
+        assert_eq!(request.job.tasks(), 10);
+        assert_eq!(request.job.t_min(), 20.0);
+        assert_eq!(request.job.deadline(), 100.0);
+        assert!(cfg
+            .request_for(&submit_view(10.0), StrategyKind::Clone)
+            .is_err());
     }
 
     #[test]
     fn optimization_returns_positive_r_for_tight_deadlines() {
         let cfg = ChronosPolicyConfig::testbed();
         for kind in StrategyKind::ALL {
-            let r = cfg.optimize_r(&submit_view(100.0), kind);
+            let r = submitted_r(&mut ChronosPolicy::new(kind, cfg), 100.0);
             assert!(r >= 1, "{kind}: {r}");
             assert!(r <= 16, "{kind}: {r}");
         }
@@ -436,14 +273,14 @@ mod tests {
     #[test]
     fn infeasible_jobs_fall_back() {
         // Deadline barely above t_min: the reactive timings (τ_est = 40 s)
-        // exceed the deadline, so the strategy validation fails and the
-        // fallback is used.
+        // exceed the deadline, so the solve fails and the fallback is used.
         let cfg = ChronosPolicyConfig::testbed();
-        let r = cfg.optimize_r(&submit_view(21.0), StrategyKind::SpeculativeRestart);
+        let kind = StrategyKind::SpeculativeRestart;
+        let request = cfg.request_for(&submit_view(21.0), kind).unwrap();
+        let optimizer = Optimizer::with_config(cfg.objective, cfg.optimizer).unwrap();
+        assert!(optimizer.optimize(&request.job, &request.params).is_err());
+        let r = submitted_r(&mut ChronosPolicy::new(kind, cfg), 21.0);
         assert_eq!(r, cfg.fallback_r);
-        assert!(cfg
-            .try_optimize_r(&submit_view(21.0), StrategyKind::SpeculativeRestart)
-            .is_err());
     }
 
     #[test]
@@ -456,13 +293,11 @@ mod tests {
     fn fixed_r_bypasses_the_optimizer() {
         let cfg = ChronosPolicyConfig::testbed().with_fixed_r(7);
         for kind in StrategyKind::ALL {
-            assert_eq!(cfg.optimize_r(&submit_view(100.0), kind), 7);
+            assert_eq!(submitted_r(&mut ChronosPolicy::new(kind, cfg), 100.0), 7);
         }
         // Even infeasible jobs use the forced value.
-        assert_eq!(
-            cfg.optimize_r(&submit_view(21.0), StrategyKind::SpeculativeRestart),
-            7
-        );
+        let mut restart = ChronosPolicy::new(StrategyKind::SpeculativeRestart, cfg);
+        assert_eq!(submitted_r(&mut restart, 21.0), 7);
     }
 
     #[test]
@@ -470,8 +305,8 @@ mod tests {
         let small = ChronosPolicyConfig::with_theta(1e-5).unwrap();
         let large = ChronosPolicyConfig::with_theta(1e-3).unwrap();
         for kind in StrategyKind::ALL {
-            let r_small = small.optimize_r(&submit_view(100.0), kind);
-            let r_large = large.optimize_r(&submit_view(100.0), kind);
+            let r_small = submitted_r(&mut ChronosPolicy::new(kind, small), 100.0);
+            let r_large = submitted_r(&mut ChronosPolicy::new(kind, large), 100.0);
             assert!(r_large <= r_small, "{kind}");
         }
     }
@@ -553,28 +388,32 @@ mod tests {
 
     #[test]
     fn policy_planner_matches_the_legacy_unmemoized_path() {
-        // All three backends must agree with ChronosPolicyConfig::optimize_r
-        // on every job and strategy — memoization is wall-clock only.
+        // Every construction must agree with a direct, unmemoized
+        // Algorithm 1 solve on every job and strategy — memoization is
+        // wall-clock only.
         let cfg = ChronosPolicyConfig::testbed();
+        let optimizer = Optimizer::with_config(cfg.objective, cfg.optimizer).unwrap();
         let cache = PlanCache::shared();
-        let planners = [
-            PolicyPlanner::new(cfg),
-            PolicyPlanner::with_cache(cfg, Arc::clone(&cache)),
-            PolicyPlanner::uncached(cfg),
-        ];
         for deadline in [21.0, 60.0, 100.0, 300.0] {
             for kind in StrategyKind::ALL {
-                let legacy = cfg.optimize_r(&submit_view(deadline), kind);
-                for planner in &planners {
+                let direct = cfg
+                    .request_for(&submit_view(deadline), kind)
+                    .and_then(|request| optimizer.optimize(&request.job, &request.params))
+                    .map_or(cfg.fallback_r, |outcome| outcome.r);
+                for mut policy in [
+                    ChronosPolicy::new(kind, cfg),
+                    ChronosPolicy::with_cache(kind, cfg, Arc::clone(&cache)),
+                    ChronosPolicy::uncached(kind, cfg),
+                ] {
                     assert_eq!(
-                        planner.optimize_r(&submit_view(deadline), kind),
-                        legacy,
+                        submitted_r(&mut policy, deadline),
+                        direct,
                         "deadline {deadline}, {kind}"
                     );
                 }
             }
         }
-        // The shared-cache planner actually memoized that sweep.
+        // The shared-cache policies actually memoized that sweep.
         let stats = cache.stats();
         assert!(stats.misses > 0);
         assert_eq!(stats.entries, stats.misses);
@@ -582,59 +421,48 @@ mod tests {
 
     #[test]
     fn policy_planner_memoizes_repeated_profiles() {
-        let planner = PolicyPlanner::new(ChronosPolicyConfig::testbed());
+        let cache = PlanCache::shared();
+        let mut policy = ChronosPolicy::with_cache(
+            StrategyKind::SpeculativeResume,
+            ChronosPolicyConfig::testbed(),
+            Arc::clone(&cache),
+        );
         for _ in 0..10 {
-            let _ = planner.optimize_r(&submit_view(100.0), StrategyKind::SpeculativeResume);
+            submitted_r(&mut policy, 100.0);
         }
-        let stats = planner.cache_stats().unwrap();
+        let stats = cache.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 9);
-        assert!(PolicyPlanner::uncached(ChronosPolicyConfig::testbed())
-            .cache_stats()
-            .is_none());
-    }
-
-    #[test]
-    fn planner_errors_name_the_job_id() {
-        // Deadline 21 s with t_min 20 s: the reactive timing is impossible,
-        // and the surfaced error must say which job could not be planned.
-        let planner = PolicyPlanner::new(ChronosPolicyConfig::testbed());
-        let err = planner
-            .try_plan(&submit_view(21.0), StrategyKind::SpeculativeRestart)
-            .unwrap_err();
-        assert!(err.to_string().contains("planning job-0"), "{err}");
-        // Errors resolve to the fallback, exactly like the legacy path.
-        assert_eq!(
-            planner.optimize_r(&submit_view(21.0), StrategyKind::SpeculativeRestart),
-            ChronosPolicyConfig::testbed().fallback_r
-        );
     }
 
     #[test]
     fn fixed_r_bypasses_the_planner_cache() {
-        let planner = PolicyPlanner::new(ChronosPolicyConfig::testbed().with_fixed_r(5));
-        assert_eq!(
-            planner.optimize_r(&submit_view(100.0), StrategyKind::Clone),
-            5
+        let cache = PlanCache::shared();
+        let mut policy = ChronosPolicy::with_cache(
+            StrategyKind::Clone,
+            ChronosPolicyConfig::testbed().with_fixed_r(5),
+            Arc::clone(&cache),
         );
-        assert_eq!(planner.cache_stats().unwrap().lookups(), 0);
+        assert_eq!(submitted_r(&mut policy, 100.0), 5);
+        assert_eq!(cache.stats().lookups(), 0);
     }
 
     #[test]
     fn broken_optimizer_config_reproduces_the_validation_error() {
         let mut cfg = ChronosPolicyConfig::testbed();
         cfg.optimizer.r_max = 0;
-        let planner = PolicyPlanner::new(cfg);
-        let err = planner
-            .try_plan(&submit_view(100.0), StrategyKind::Clone)
-            .unwrap_err();
-        assert!(err.to_string().contains("r_max"), "{err}");
-        assert!(err.to_string().contains("planning job-0"), "{err}");
-        // And the fallback applies, as on the legacy path.
-        assert_eq!(
-            planner.optimize_r(&submit_view(100.0), StrategyKind::Clone),
-            cfg.fallback_r
-        );
+        let cache = PlanCache::shared();
+        for mut policy in [
+            ChronosPolicy::new(StrategyKind::Clone, cfg),
+            ChronosPolicy::with_cache(StrategyKind::Clone, cfg, Arc::clone(&cache)),
+            ChronosPolicy::uncached(StrategyKind::Clone, cfg),
+        ] {
+            // The policy keeps the validation error …
+            assert!(format!("{policy:?}").contains("r_max"), "{policy:?}");
+            // … and every feasible job falls back, as for a failed solve.
+            assert_eq!(submitted_r(&mut policy, 100.0), cfg.fallback_r);
+        }
+        assert_eq!(cache.stats().lookups(), 0);
     }
 
     #[test]

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod budget;
 mod clone;
@@ -50,14 +51,13 @@ pub mod timing;
 pub mod prelude;
 
 pub use budget::{BudgetedPolicy, PolicyBuildError, PolicyBuilder};
-pub use common::{expected_straggler_progress, ChronosPolicyConfig, PolicyPlanner};
+pub use common::{expected_straggler_progress, ChronosPolicyConfig};
 pub use hadoop::{HadoopNoSpec, HadoopSpeculate};
 pub use mantri::MantriPolicy;
 pub use policy::ChronosPolicy;
 pub use timing::{StrategyTiming, Timing};
 
-use chronos_sim::prelude::{PlanCache, SpeculationPolicy};
-use std::sync::Arc;
+use chronos_sim::prelude::SpeculationPolicy;
 
 /// Identifier of every policy this crate can build, used by the experiment
 /// harness to iterate over strategy line-ups.
@@ -112,27 +112,10 @@ impl PolicyKind {
     /// Instantiates the policy. Chronos strategies use `config`; baselines
     /// ignore it. Shorthand for an option-free [`PolicyBuilder`].
     #[must_use]
+    // Invariant: only a finite budget can fail a build; a new builder's is unlimited.
+    #[allow(clippy::expect_used)]
     pub fn build(&self, config: ChronosPolicyConfig) -> Box<dyn SpeculationPolicy> {
         PolicyBuilder::new(config)
-            .build(*self)
-            .expect("unbudgeted builds are infallible")
-    }
-
-    /// Instantiates the policy over a shared plan cache: the Chronos
-    /// strategies memoize their optimizations into (and out of) `cache`,
-    /// so one cache handed to a whole line-up — or to every shard of a
-    /// sharded replay — solves each distinct `(profile, strategy,
-    /// objective)` combination exactly once. Baselines ignore both
-    /// arguments; handing them a cache is harmless. Shorthand for
-    /// [`PolicyBuilder::cached`].
-    #[must_use]
-    pub fn build_with_cache(
-        &self,
-        config: ChronosPolicyConfig,
-        cache: &Arc<PlanCache>,
-    ) -> Box<dyn SpeculationPolicy> {
-        PolicyBuilder::new(config)
-            .cached(Arc::clone(cache))
             .build(*self)
             .expect("unbudgeted builds are infallible")
     }

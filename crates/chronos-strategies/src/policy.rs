@@ -4,10 +4,10 @@
 //! extra attempts launched at submission and in the actions taken at the
 //! check points (see the `clone`, `restart` and `resume` modules).
 
-use crate::common::{prune_to_fastest, ChronosPolicyConfig, PolicyPlanner};
+use crate::common::{prune_to_fastest, ChronosPolicyConfig};
 use crate::{clone, restart, resume};
 use chronos_core::{ChronosError, StrategyKind};
-use chronos_plan::PlanRequest;
+use chronos_plan::{PlanRequest, Planner};
 use chronos_sim::prelude::{
     CheckOffsets, CheckSchedule, JobSubmitView, JobView, PlanCache, PolicyAction,
     SpeculationPolicy, SubmitDecision,
@@ -49,8 +49,13 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ChronosPolicy {
-    planner: PolicyPlanner,
+    config: ChronosPolicyConfig,
     kind: StrategyKind,
+    /// The policy's planner, or the optimizer-validation error of an
+    /// invalid configuration (every job then gets `fallback_r`).
+    planner: Result<Planner, ChronosError>,
+    /// `false` for the unmemoized reference: solves bypass the cache.
+    cached: bool,
 }
 
 impl ChronosPolicy {
@@ -60,10 +65,7 @@ impl ChronosPolicy {
     /// shards.
     #[must_use]
     pub fn new(kind: StrategyKind, config: ChronosPolicyConfig) -> Self {
-        ChronosPolicy {
-            planner: PolicyPlanner::new(config),
-            kind,
-        }
+        ChronosPolicy::with_cache(kind, config, PlanCache::shared())
     }
 
     /// Creates the policy over a shared plan cache: every policy instance
@@ -76,30 +78,58 @@ impl ChronosPolicy {
         cache: Arc<PlanCache>,
     ) -> Self {
         ChronosPolicy {
-            planner: PolicyPlanner::with_cache(config, cache),
+            config,
             kind,
+            planner: config.planner(cache),
+            cached: true,
         }
     }
 
-    /// Creates the policy with memoization disabled — the bit-identical
+    /// Creates the policy with memoization disabled: every job is solved
+    /// through [`Planner::solve_uncached`]. This is the bit-identical
     /// reference path the scale tests compare the cached paths against.
     #[must_use]
     pub fn uncached(kind: StrategyKind, config: ChronosPolicyConfig) -> Self {
         ChronosPolicy {
-            planner: PolicyPlanner::uncached(config),
-            kind,
+            cached: false,
+            ..ChronosPolicy::new(kind, config)
         }
     }
 
     /// The configuration this policy optimizes with.
     #[must_use]
     pub fn config(&self) -> &ChronosPolicyConfig {
-        self.planner.config()
+        &self.config
     }
 
     /// The plan request of a submitted job under this policy's strategy.
     pub(crate) fn request_for(&self, job: &JobSubmitView) -> Result<PlanRequest, ChronosError> {
-        self.planner.request_for(job, self.kind)
+        self.config.request_for(job, self.kind)
+    }
+
+    /// The planner this policy solves through, or its configuration's
+    /// validation error.
+    pub(crate) fn planner(&self) -> Result<&Planner, ChronosError> {
+        self.planner.as_ref().map_err(Clone::clone)
+    }
+
+    /// The `r` for a submitted job: the forced
+    /// [`ChronosPolicyConfig::fixed_r`] when set, the planned optimum when
+    /// the problem is solvable, and [`ChronosPolicyConfig::fallback_r`]
+    /// otherwise.
+    fn r_for(&self, job: &JobSubmitView) -> u32 {
+        if let Some(fixed) = self.config.fixed_r {
+            return fixed;
+        }
+        let plan = self.planner().and_then(|planner| {
+            let request = self.request_for(job)?;
+            if self.cached {
+                planner.plan_request(&request)
+            } else {
+                planner.solve_uncached(&request)
+            }
+        });
+        plan.map_or(self.config.fallback_r, |plan| plan.outcome.r)
     }
 
     /// The submit decision for a job given `r` extra attempts: Clone
@@ -121,7 +151,7 @@ impl SpeculationPolicy for ChronosPolicy {
     }
 
     fn on_job_submit(&mut self, job: &JobSubmitView) -> SubmitDecision {
-        self.decision(self.planner.optimize_r(job, self.kind))
+        self.decision(self.r_for(job))
     }
 
     fn check_schedule(&self, job: &JobSubmitView) -> CheckSchedule {

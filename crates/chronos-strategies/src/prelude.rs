@@ -1,7 +1,7 @@
 //! Convenience re-exports for building strategy line-ups.
 
 pub use crate::budget::{BudgetedPolicy, PolicyBuildError, PolicyBuilder};
-pub use crate::common::{expected_straggler_progress, ChronosPolicyConfig, PolicyPlanner};
+pub use crate::common::{expected_straggler_progress, ChronosPolicyConfig};
 pub use crate::hadoop::{HadoopNoSpec, HadoopSpeculate};
 pub use crate::mantri::MantriPolicy;
 pub use crate::policy::ChronosPolicy;

@@ -76,7 +76,7 @@ pub mod prelude {
     pub use chronos_strategies::prelude::{
         BudgetedPolicy, ChronosPolicy, ChronosPolicyConfig, HadoopNoSpec, HadoopSpeculate,
         MantriPolicy, ParsePolicyKindError, PolicyBuildError, PolicyBuilder, PolicyKind,
-        PolicyPlanner, StrategyTiming, Timing,
+        StrategyTiming, Timing,
     };
     pub use chronos_trace::prelude::{
         converter_for, write_trace, Benchmark, CensusSummary, ContentionLevel, ContentionModel,

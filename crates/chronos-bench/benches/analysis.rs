@@ -25,7 +25,7 @@ fn bench_pocd(c: &mut Criterion) {
     for (label, params) in cases {
         let model = PocdModel::new(job(), params).expect("valid model");
         group.bench_with_input(BenchmarkId::from_parameter(label), &model, |b, model| {
-            b.iter(|| model.pocd(3).expect("closed form"))
+            b.iter(|| model.pocd(3))
         });
     }
     group.finish();
@@ -41,7 +41,7 @@ fn bench_cost(c: &mut Criterion) {
     for (label, params) in cases {
         let model = CostModel::new(job(), params).expect("valid model");
         group.bench_with_input(BenchmarkId::from_parameter(label), &model, |b, model| {
-            b.iter(|| model.expected_job_machine_time(3.0).expect("closed form"))
+            b.iter(|| model.expected_job_machine_time(3).expect("closed form"))
         });
     }
     group.finish();

@@ -71,9 +71,8 @@ fn analytic(kind: StrategyKind, r: u32) -> (f64, f64) {
     let pocd = PocdModel::new(job, params).expect("valid model");
     let cost = CostModel::new(job, params).expect("valid model");
     (
-        pocd.pocd(r).expect("closed form"),
-        cost.expected_job_machine_time(f64::from(r))
-            .expect("closed form"),
+        pocd.pocd(r),
+        cost.expected_job_machine_time(r).expect("closed form"),
     )
 }
 

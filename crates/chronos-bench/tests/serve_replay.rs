@@ -92,7 +92,7 @@ fn server_decisions_match_a_sequential_policy_planner_reference() {
     // ChronosPolicyConfig::request_for + one unshared Planner. This pins
     // the server's admission logic to the library reference, so the
     // worker pool, memo layers and shared cache change wall-clock only.
-    use chronos_core::prelude::{Optimizer, StrategyKind};
+    use chronos_core::prelude::{OptimizationOutcome, Optimizer, StrategyKind};
     use chronos_plan::Planner;
     use chronos_sim::prelude::JobSubmitView;
 
@@ -111,30 +111,30 @@ fn server_decisions_match_a_sequential_policy_planner_reference() {
             price: job.price,
             profile: job.profile,
         };
-        let mut best: Option<(StrategyKind, chronos_plan::Plan)> = None;
+        let mut best: Option<(StrategyKind, OptimizationOutcome)> = None;
         for kind in StrategyKind::ALL {
             let Ok(request) = policy.request_for(&view, kind) else {
                 continue;
             };
-            let Ok(plan) = planner.plan_request(&request) else {
+            let Ok(outcome) = planner.plan_request(&request) else {
                 continue;
             };
             let better = match &best {
                 None => true,
-                Some((_, incumbent)) => plan.outcome.utility > incumbent.outcome.utility,
+                Some((_, incumbent)) => outcome.utility > incumbent.utility,
             };
             if better {
-                best = Some((kind, plan));
+                best = Some((kind, outcome));
             }
         }
         match best {
-            Some((kind, plan)) => {
+            Some((kind, outcome)) => {
                 assert!(response.decision.feasible);
                 assert_eq!(response.decision.strategy, Some(kind), "{}", job.id);
-                assert_eq!(response.decision.copies, plan.outcome.r, "{}", job.id);
+                assert_eq!(response.decision.copies, outcome.r, "{}", job.id);
                 assert_eq!(
                     response.decision.utility.to_bits(),
-                    plan.outcome.utility.to_bits(),
+                    outcome.utility.to_bits(),
                     "{}",
                     job.id
                 );

@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// let cost = CostModel::new(job, StrategyParams::clone_strategy(80.0))?;
 ///
 /// // Theorem 2 at r = 0 reduces to N times the mean task time.
-/// let base = cost.expected_job_machine_time(0.0)?;
+/// let base = cost.expected_job_machine_time(0)?;
 /// assert!((base - 10.0 * 60.0).abs() < 1e-9);
 /// # Ok(())
 /// # }
@@ -66,24 +66,22 @@ impl CostModel {
     }
 
     /// Expected machine running time of a *single task* with `r` extra
-    /// attempts (continuous relaxation of `r`).
+    /// attempts.
     ///
     /// # Errors
     ///
-    /// * [`ChronosError::InvalidParameter`] if `r` is negative or not finite.
     /// * [`ChronosError::InconsistentParameters`] if the expectation is
     ///   infinite for the given `β` and `r` (e.g. Clone needs
     ///   `β·(r+1) > 1`).
     /// * [`ChronosError::NumericalFailure`] if the Theorem 4 series does not
     ///   converge or the result is not finite.
-    pub fn expected_task_machine_time(&self, r: f64) -> Result<f64, ChronosError> {
-        if !r.is_finite() || r < 0.0 {
-            return Err(ChronosError::invalid("r", r, "a finite value >= 0"));
-        }
+    pub fn expected_task_machine_time(&self, r: u32) -> Result<f64, ChronosError> {
+        // The closed forms below are written in f64 arithmetic.
+        let real_r = f64::from(r);
         let time = match self.params.kind() {
-            StrategyKind::Clone => self.clone_task_time(r),
-            StrategyKind::SpeculativeRestart => self.restart_task_time(r),
-            StrategyKind::SpeculativeResume => self.resume_task_time(r),
+            StrategyKind::Clone => self.clone_task_time(real_r),
+            StrategyKind::SpeculativeRestart => self.restart_task_time(real_r),
+            StrategyKind::SpeculativeResume => self.resume_task_time(real_r),
         }?;
         if !time.is_finite() {
             return Err(ChronosError::numerical(format!(
@@ -101,7 +99,7 @@ impl CostModel {
     ///
     /// Same failure modes as
     /// [`expected_task_machine_time`](Self::expected_task_machine_time).
-    pub fn expected_job_machine_time(&self, r: f64) -> Result<f64, ChronosError> {
+    pub fn expected_job_machine_time(&self, r: u32) -> Result<f64, ChronosError> {
         Ok(f64::from(self.job.tasks()) * self.expected_task_machine_time(r)?)
     }
 
@@ -112,7 +110,7 @@ impl CostModel {
     ///
     /// Same failure modes as
     /// [`expected_job_machine_time`](Self::expected_job_machine_time).
-    pub fn expected_cost(&self, r: f64) -> Result<f64, ChronosError> {
+    pub fn expected_cost(&self, r: u32) -> Result<f64, ChronosError> {
         Ok(self.job.price() * self.expected_job_machine_time(r)?)
     }
 
@@ -305,7 +303,7 @@ mod tests {
         for r in 0..5u32 {
             let rf = f64::from(r);
             let expected = 10.0 * (rf * 80.0 + 20.0 + 20.0 / (1.5 * (rf + 1.0) - 1.0));
-            let got = m.expected_job_machine_time(rf).unwrap();
+            let got = m.expected_job_machine_time(r).unwrap();
             assert!(approx_eq(got, expected, 1e-9, 1e-12), "r={r}: {got}");
         }
     }
@@ -313,7 +311,7 @@ mod tests {
     #[test]
     fn theorem2_r_zero_is_mean() {
         let m = clone_cost();
-        let got = m.expected_job_machine_time(0.0).unwrap();
+        let got = m.expected_job_machine_time(0).unwrap();
         assert!(approx_eq(got, 10.0 * 60.0, 1e-9, 1e-12));
         assert!(approx_eq(
             got,
@@ -328,7 +326,7 @@ mod tests {
         let m = clone_cost();
         let mut rng = StdRng::seed_from_u64(42);
         for r in [1u32, 2] {
-            let closed = m.expected_task_machine_time(f64::from(r)).unwrap();
+            let closed = m.expected_task_machine_time(r).unwrap();
             let mc = monte_carlo_clone_task_time(&m.job().task_time(), r, 80.0, 400_000, &mut rng);
             // min of Pareto draws has light tail, so the MC mean converges well.
             assert!(
@@ -344,7 +342,7 @@ mod tests {
         // expected machine time is just E[T] of the original attempt:
         // E[T|T≤D]P(T≤D) + E[T|T>D]P(T>D) = E[T].
         let m = restart_cost();
-        let got = m.expected_task_machine_time(0.0).unwrap();
+        let got = m.expected_task_machine_time(0).unwrap();
         assert!(approx_eq(got, 60.0, 0.0, 1e-13), "got {got}");
     }
 
@@ -379,9 +377,9 @@ mod tests {
             .build()
             .unwrap();
         let m = CostModel::new(job, StrategyParams::restart(15.0, 30.0).unwrap()).unwrap();
-        let mut prev = m.expected_task_machine_time(1.0).unwrap();
+        let mut prev = m.expected_task_machine_time(1).unwrap();
         for r in 2..=64 {
-            let cur = m.expected_task_machine_time(f64::from(r)).unwrap();
+            let cur = m.expected_task_machine_time(r).unwrap();
             assert!(cur.is_finite() && cur > prev, "r={r}: {cur} after {prev}");
             prev = cur;
         }
@@ -420,7 +418,7 @@ mod tests {
         let late = tau_est + r * (tau_kill - tau_est) + expected_w_all;
         let manual = on_time * (1.0 - p_miss) + late * p_miss;
 
-        let got = m.expected_task_machine_time(r).unwrap();
+        let got = m.expected_task_machine_time(2).unwrap();
         assert!(approx_eq(got, manual, 1e-5, 1e-7), "{got} vs {manual}");
     }
 
@@ -439,7 +437,7 @@ mod tests {
             let nb = beta * (rf + 1.0);
             let late = 40.0 + rf * 40.0 + t_min * (1.0 - phi).powf(nb) / (nb - 1.0) + t_min;
             let expected = 10.0 * (on_time * (1.0 - p_miss) + late * p_miss);
-            let got = m.expected_job_machine_time(rf).unwrap();
+            let got = m.expected_job_machine_time(r).unwrap();
             assert!(approx_eq(got, expected, 1e-9, 1e-12), "r={r}");
         }
     }
@@ -447,9 +445,9 @@ mod tests {
     #[test]
     fn clone_cost_increases_with_r() {
         let m = clone_cost();
-        let mut prev = m.expected_job_machine_time(0.0).unwrap();
+        let mut prev = m.expected_job_machine_time(0).unwrap();
         for r in 1..8 {
-            let cur = m.expected_job_machine_time(f64::from(r)).unwrap();
+            let cur = m.expected_job_machine_time(r).unwrap();
             assert!(cur > prev, "Clone cost should grow with r");
             prev = cur;
         }
@@ -460,9 +458,9 @@ mod tests {
         // For r ≥ 1 every additional attempt adds (τ_kill − τ_est) of machine
         // time on each straggler, which outweighs the shrinking survivor term.
         for m in [restart_cost(), resume_cost(0.3)] {
-            let mut prev = m.expected_job_machine_time(1.0).unwrap();
+            let mut prev = m.expected_job_machine_time(1).unwrap();
             for r in 2..8 {
-                let cur = m.expected_job_machine_time(f64::from(r)).unwrap();
+                let cur = m.expected_job_machine_time(r).unwrap();
                 assert!(
                     cur > prev,
                     "{:?}: cost should grow with r >= 1",
@@ -482,8 +480,8 @@ mod tests {
         // minimum-of-two tail. This is the quantitative version of Mantri's
         // observation that killing stragglers can save resources.
         let m = restart_cost();
-        let at_zero = m.expected_job_machine_time(0.0).unwrap();
-        let at_one = m.expected_job_machine_time(1.0).unwrap();
+        let at_zero = m.expected_job_machine_time(0).unwrap();
+        let at_one = m.expected_job_machine_time(1).unwrap();
         assert!(at_one < at_zero, "expected {at_one} < {at_zero}");
     }
 
@@ -494,8 +492,8 @@ mod tests {
         // baseline and grows monotonically from there.
         let m = resume_cost(0.3);
         let baseline = m.baseline_job_machine_time().unwrap();
-        let at_zero = m.expected_job_machine_time(0.0).unwrap();
-        let at_one = m.expected_job_machine_time(1.0).unwrap();
+        let at_zero = m.expected_job_machine_time(0).unwrap();
+        let at_one = m.expected_job_machine_time(1).unwrap();
         assert!(at_zero < baseline);
         assert!(at_one > at_zero);
     }
@@ -508,10 +506,9 @@ mod tests {
         let s = restart_cost();
         let re = resume_cost(0.3);
         for r in 1..6 {
-            let rf = f64::from(r);
-            let cc = c.expected_job_machine_time(rf).unwrap();
-            let sc = s.expected_job_machine_time(rf).unwrap();
-            let rc = re.expected_job_machine_time(rf).unwrap();
+            let cc = c.expected_job_machine_time(r).unwrap();
+            let sc = s.expected_job_machine_time(r).unwrap();
+            let rc = re.expected_job_machine_time(r).unwrap();
             assert!(cc > sc, "r={r}");
             assert!(cc > rc, "r={r}");
         }
@@ -523,10 +520,8 @@ mod tests {
         let s = restart_cost();
         let re = resume_cost(0.3);
         for r in 1..6 {
-            let rf = f64::from(r);
             assert!(
-                re.expected_job_machine_time(rf).unwrap()
-                    < s.expected_job_machine_time(rf).unwrap(),
+                re.expected_job_machine_time(r).unwrap() < s.expected_job_machine_time(r).unwrap(),
                 "r={r}"
             );
         }
@@ -544,15 +539,9 @@ mod tests {
             StrategyParams::clone_strategy(80.0),
         )
         .unwrap();
-        let a = cheap.expected_cost(2.0).unwrap();
-        let b = pricey.expected_cost(2.0).unwrap();
+        let a = cheap.expected_cost(2).unwrap();
+        let b = pricey.expected_cost(2).unwrap();
         assert!(approx_eq(b, 2.0 * a, 1e-12, 1e-12));
-    }
-
-    #[test]
-    fn rejects_negative_r() {
-        assert!(clone_cost().expected_task_machine_time(-1.0).is_err());
-        assert!(clone_cost().expected_task_machine_time(f64::NAN).is_err());
     }
 
     #[test]
@@ -565,9 +554,9 @@ mod tests {
             .unwrap();
         let m = CostModel::new(heavy, StrategyParams::clone_strategy(80.0)).unwrap();
         // β(r+1) = 0.8 ≤ 1 at r = 0: infinite expectation.
-        assert!(m.expected_task_machine_time(0.0).is_err());
+        assert!(m.expected_task_machine_time(0).is_err());
         // r = 1 gives β(r+1) = 1.6 > 1: finite.
-        assert!(m.expected_task_machine_time(1.0).is_ok());
+        assert!(m.expected_task_machine_time(1).is_ok());
         assert!(m.baseline_job_machine_time().is_err());
     }
 

@@ -71,14 +71,14 @@ impl Frontier {
         let cost = CostModel::new(*job, *params)?;
         let mut points = Vec::with_capacity(r_max as usize + 1);
         for r in 0..=r_max {
-            let machine_time = match cost.expected_job_machine_time(f64::from(r)) {
+            let machine_time = match cost.expected_job_machine_time(r) {
                 Ok(v) => v,
                 Err(ChronosError::InconsistentParameters { .. }) => continue,
                 Err(other) => return Err(other),
             };
             points.push(FrontierPoint {
                 r,
-                pocd: pocd.pocd(r)?,
+                pocd: pocd.pocd(r),
                 machine_time,
                 dollar_cost: machine_time * job.price(),
             });

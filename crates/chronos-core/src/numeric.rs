@@ -2,10 +2,12 @@
 //!
 //! The tail of the Speculative-Restart cost (Theorem 4) is a Gauss
 //! hypergeometric function, which [`gauss_series`] sums directly. The
-//! quadrature routines [`integrate_adaptive`] and [`integrate_tail`] stay as
-//! general-purpose tools and as the reference the closed forms are tested
-//! against. The optimizer (Algorithm 1) needs no numerical routine: it walks
-//! the integers (see [`crate::optimizer`]).
+//! closed forms take an integer `r`, and the optimizer (Algorithm 1) walks
+//! the integers (see [`crate::optimizer`]). The quadrature routines
+//! [`integrate_adaptive`] and [`integrate_tail`] have no caller in the
+//! models: they stay as general-purpose tools and as the oracle the tests
+//! check the closed forms against, including the Theorem 4 tail at
+//! non-integer `r`.
 
 use crate::error::ChronosError;
 

@@ -160,7 +160,7 @@ impl Optimizer {
         let mut best: Option<(u32, Point)> = None;
         let mut previous = f64::NEG_INFINITY;
         for r in 0..=r_max {
-            let point = net.evaluate(f64::from(r))?;
+            let point = net.evaluate(r)?;
             let utility = point.map_or(f64::NEG_INFINITY, |p| p.utility);
             // The first drop on the concave tail (r−1 ≥ ⌈Γ⌉) ends the walk:
             // nothing past it is larger. A drop needs a finite U(r−1), so
@@ -258,7 +258,7 @@ impl Optimizer {
             strategy: params.kind(),
             r,
             utility,
-            pocd: net.pocd(r)?,
+            pocd: net.pocd(r),
             machine_time: net.machine_time(r)?,
             dollar_cost: net.dollar_cost(r)?,
         })
@@ -498,7 +498,7 @@ mod tests {
             .unwrap()
             .for_job(&job(), &StrategyParams::resume(40.0, 80.0, 0.4).unwrap())
             .unwrap();
-        assert!((outcome.pocd - net.pocd(outcome.r).unwrap()).abs() < 1e-12);
+        assert!((outcome.pocd - net.pocd(outcome.r)).abs() < 1e-12);
         assert!((outcome.machine_time - net.machine_time(outcome.r).unwrap()).abs() < 1e-9);
         assert!((outcome.utility - net.utility(outcome.r).unwrap()).abs() < 1e-9);
         assert!(outcome.dollar_cost > 0.0);

@@ -33,8 +33,8 @@ use serde::{Deserialize, Serialize};
 /// let model = PocdModel::new(job, StrategyParams::clone_strategy(80.0))?;
 ///
 /// // Theorem 1: R = [1 − (t_min/D)^(β(r+1))]^N
-/// let r1 = model.pocd(1)?;
-/// assert!(r1 > model.pocd(0)?);
+/// let r1 = model.pocd(1);
+/// assert!(r1 > model.pocd(0));
 /// # Ok(())
 /// # }
 /// ```
@@ -100,16 +100,20 @@ impl PocdModel {
         }
     }
 
-    /// Per-task deadline-miss probability `q(r)` with `r` extra attempts,
-    /// evaluated on the continuous relaxation of `r`.
+    /// Per-task deadline-miss probability `q(r)` with `r` extra attempts.
     ///
     /// * Clone: `q = p^(r+1)` where `p = (t_min/D)^β` (Theorem 1),
     /// * S-Restart: `q = p · s^r` where `s = (t_min/(D−τ_est))^β` (Theorem 3),
     /// * S-Resume: `q = p · u^(r+1)` where
     ///   `u = ((1−ϕ_est)·t_min/(D−τ_est))^β` (Theorem 5).
     #[must_use]
-    pub fn task_failure_probability_continuous(&self, r: f64) -> f64 {
-        let r = r.max(0.0);
+    pub fn task_failure_probability(&self, r: u32) -> f64 {
+        self.failure_probability_at(f64::from(r))
+    }
+
+    /// `q` at a real `r ≥ 0`. The integer closed forms are this at integer
+    /// `r`; the unit tests also probe it around the real threshold `Γ`.
+    fn failure_probability_at(&self, r: f64) -> f64 {
         let p = self.original_miss_probability();
         let value = match self.params.kind() {
             StrategyKind::Clone => p.powf(r + 1.0),
@@ -119,29 +123,11 @@ impl PocdModel {
         clamp_probability(value)
     }
 
-    /// Per-task deadline-miss probability for an integer number of extra
-    /// attempts.
+    /// Job-level PoCD `R(r) = (1 − q(r))^N` (Theorems 1, 3 and 5).
     #[must_use]
-    pub fn task_failure_probability(&self, r: u32) -> f64 {
-        self.task_failure_probability_continuous(f64::from(r))
-    }
-
-    /// Job-level PoCD `R(r) = (1 − q(r))^N` on the continuous relaxation.
-    #[must_use]
-    pub fn pocd_continuous(&self, r: f64) -> f64 {
-        let q = self.task_failure_probability_continuous(r);
+    pub fn pocd(&self, r: u32) -> f64 {
+        let q = self.task_failure_probability(r);
         clamp_probability((1.0 - q).powf(f64::from(self.job.tasks())))
-    }
-
-    /// Job-level PoCD for an integer `r` (Theorems 1, 3 and 5).
-    ///
-    /// # Errors
-    ///
-    /// This function never fails for models constructed through
-    /// [`PocdModel::new`]; the `Result` mirrors the other closed-form
-    /// accessors so call sites can use `?` uniformly.
-    pub fn pocd(&self, r: u32) -> Result<f64, ChronosError> {
-        Ok(self.pocd_continuous(f64::from(r)))
     }
 
     /// PoCD of the no-speculation baseline (Hadoop-NS): a single attempt per
@@ -229,7 +215,7 @@ impl PocdModel {
                 "a probability in [0, 1]",
             ));
         }
-        if self.pocd(0)? >= target {
+        if self.pocd(0) >= target {
             return Ok(Some(0));
         }
         // The required per-task success is target^(1/N); invert q(r) ≤ 1 − that.
@@ -273,7 +259,7 @@ impl PocdModel {
         // Guard against floating point edge effects by nudging upward if
         // the closed form rounds to a value that still falls short.
         let mut r = r as u32;
-        while self.pocd(r)? < target && r < u32::MAX - 1 {
+        while self.pocd(r) < target && r < u32::MAX - 1 {
             r += 1;
             if r > 10_000 {
                 return Ok(None);
@@ -304,20 +290,15 @@ pub enum Dominance {
 ///    on `ϕ_est`, `t_min`, `D` and `τ_est` (see
 ///    [`clone_beats_resume_threshold`]).
 ///
-/// # Errors
-///
-/// Propagates failures from the underlying PoCD evaluation (none for models
-/// built through [`PocdModel::new`]).
-pub fn compare_pocd(a: &PocdModel, b: &PocdModel, r: u32) -> Result<Dominance, ChronosError> {
-    let ra = a.pocd(r)?;
-    let rb = b.pocd(r)?;
-    let diff = ra - rb;
+#[must_use]
+pub fn compare_pocd(a: &PocdModel, b: &PocdModel, r: u32) -> Dominance {
+    let diff = a.pocd(r) - b.pocd(r);
     if diff.abs() <= 1e-15 {
-        Ok(Dominance::Tie)
+        Dominance::Tie
     } else if diff > 0.0 {
-        Ok(Dominance::FirstWins)
+        Dominance::FirstWins
     } else {
-        Ok(Dominance::SecondWins)
+        Dominance::SecondWins
     }
 }
 
@@ -389,10 +370,7 @@ mod tests {
         let p = (20.0_f64 / 100.0).powf(1.5);
         for r in 0..5 {
             let expected = (1.0 - p.powi(r as i32 + 1)).powi(10);
-            assert!(
-                approx_eq(m.pocd(r).unwrap(), expected, 1e-12, 1e-12),
-                "r = {r}"
-            );
+            assert!(approx_eq(m.pocd(r), expected, 1e-12, 1e-12), "r = {r}");
         }
     }
 
@@ -407,10 +385,7 @@ mod tests {
             let rf = f64::from(r);
             let q = t_min.powf(beta * (rf + 1.0)) / (d.powf(beta) * (d - tau_est).powf(beta * rf));
             let expected = (1.0 - q).powi(10);
-            assert!(
-                approx_eq(m.pocd(r).unwrap(), expected, 1e-12, 1e-12),
-                "r = {r}"
-            );
+            assert!(approx_eq(m.pocd(r), expected, 1e-12, 1e-12), "r = {r}");
         }
     }
 
@@ -427,19 +402,16 @@ mod tests {
             let q = (1.0 - phi).powf(beta * (rf + 1.0)) * t_min.powf(beta * (rf + 2.0))
                 / (d.powf(beta) * (d - tau_est).powf(beta * (rf + 1.0)));
             let expected = (1.0 - q).powi(10);
-            assert!(
-                approx_eq(m.pocd(r).unwrap(), expected, 1e-12, 1e-12),
-                "r = {r}"
-            );
+            assert!(approx_eq(m.pocd(r), expected, 1e-12, 1e-12), "r = {r}");
         }
     }
 
     #[test]
     fn pocd_monotone_in_r() {
         for m in [clone_model(), restart_model(), resume_model(0.3)] {
-            let mut prev = m.pocd(0).unwrap();
+            let mut prev = m.pocd(0);
             for r in 1..8 {
-                let cur = m.pocd(r).unwrap();
+                let cur = m.pocd(r);
                 assert!(cur >= prev, "strategy {:?} r {r}", m.params().kind());
                 prev = cur;
             }
@@ -459,31 +431,21 @@ mod tests {
         )
         .unwrap();
         for r in 0..4 {
-            assert!(loose.pocd(r).unwrap() > tight.pocd(r).unwrap());
+            assert!(loose.pocd(r) > tight.pocd(r));
         }
     }
 
     #[test]
     fn baseline_matches_r_zero_clone() {
         let m = clone_model();
-        assert!(approx_eq(
-            m.baseline_pocd(),
-            m.pocd(0).unwrap(),
-            1e-15,
-            1e-15
-        ));
+        assert!(approx_eq(m.baseline_pocd(), m.pocd(0), 1e-15, 1e-15));
     }
 
     #[test]
     fn restart_r_zero_equals_baseline() {
         // With no extra attempts S-Restart degenerates to no speculation.
         let m = restart_model();
-        assert!(approx_eq(
-            m.pocd(0).unwrap(),
-            m.baseline_pocd(),
-            1e-15,
-            1e-15
-        ));
+        assert!(approx_eq(m.pocd(0), m.baseline_pocd(), 1e-15, 1e-15));
     }
 
     #[test]
@@ -491,10 +453,10 @@ mod tests {
         let c = clone_model();
         let s = restart_model();
         for r in 1..6 {
-            assert_eq!(compare_pocd(&c, &s, r).unwrap(), Dominance::FirstWins);
+            assert_eq!(compare_pocd(&c, &s, r), Dominance::FirstWins);
         }
         // r = 0: both degenerate to the baseline.
-        assert_eq!(compare_pocd(&c, &s, 0).unwrap(), Dominance::Tie);
+        assert_eq!(compare_pocd(&c, &s, 0), Dominance::Tie);
     }
 
     #[test]
@@ -502,7 +464,7 @@ mod tests {
         let re = resume_model(0.3);
         let s = restart_model();
         for r in 0..6 {
-            assert_eq!(compare_pocd(&re, &s, r).unwrap(), Dominance::FirstWins);
+            assert_eq!(compare_pocd(&re, &s, r), Dominance::FirstWins);
         }
     }
 
@@ -515,7 +477,7 @@ mod tests {
         let re = resume_model(phi);
         let threshold = clone_beats_resume_threshold(&job(), re.params()).expect("premise holds");
         for r in 0..12 {
-            let cmp = compare_pocd(&c, &re, r).unwrap();
+            let cmp = compare_pocd(&c, &re, r);
             if f64::from(r) > threshold {
                 assert_eq!(cmp, Dominance::FirstWins, "r = {r}, threshold {threshold}");
             } else {
@@ -537,10 +499,10 @@ mod tests {
             let gamma = m.concavity_threshold().expect("finite threshold");
             let n = f64::from(m.job().tasks());
             // Just above Γ the failure probability is below 1/N and vice versa.
-            let above = m.task_failure_probability_continuous(gamma + 1e-6);
+            let above = m.failure_probability_at(gamma + 1e-6);
             assert!(above < 1.0 / n + 1e-9, "{:?}", m.params().kind());
             if gamma > 0.0 {
-                let below = m.task_failure_probability_continuous(gamma - 1e-6);
+                let below = m.failure_probability_at(gamma - 1e-6);
                 assert!(below > 1.0 / n - 1e-9, "{:?}", m.params().kind());
             }
         }
@@ -583,9 +545,9 @@ mod tests {
     fn min_r_for_target() {
         let m = clone_model();
         let r = m.min_r_for_target(0.99).unwrap().unwrap();
-        assert!(m.pocd(r).unwrap() >= 0.99);
+        assert!(m.pocd(r) >= 0.99);
         if r > 0 {
-            assert!(m.pocd(r - 1).unwrap() < 0.99);
+            assert!(m.pocd(r - 1) < 0.99);
         }
         // A target of zero is met by r = 0.
         assert_eq!(m.min_r_for_target(0.0).unwrap(), Some(0));
@@ -619,18 +581,5 @@ mod tests {
             1e-12,
             1e-12
         ));
-    }
-
-    #[test]
-    fn continuous_and_integer_views_agree() {
-        let m = resume_model(0.25);
-        for r in 0..6 {
-            assert!(approx_eq(
-                m.pocd(r).unwrap(),
-                m.pocd_continuous(f64::from(r)),
-                1e-15,
-                1e-15
-            ));
-        }
     }
 }

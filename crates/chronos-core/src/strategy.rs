@@ -149,14 +149,17 @@ impl StrategyParams {
     }
 
     /// Convenience constructor for the Clone strategy (no estimation point).
-    ///
-    /// # Panics
-    ///
-    /// Never panics: `tau_kill` is clamped to be non-negative before the
-    /// validated constructor runs, and all other inputs are fixed constants.
+    /// `tau_kill` is clamped into `[0, f64::MAX]`; NaN becomes 0.
     #[must_use]
     pub fn clone_strategy(tau_kill: f64) -> Self {
-        StrategyParams::new(StrategyKind::Clone, 0.0, tau_kill.max(0.0), 0.0)
+        let tau_kill = if tau_kill.is_nan() {
+            0.0
+        } else {
+            tau_kill.clamp(0.0, f64::MAX)
+        };
+        // Invariant: a finite tau_kill >= 0 = tau_est and phi_est = 0 pass every check of `new`.
+        #[allow(clippy::expect_used)]
+        StrategyParams::new(StrategyKind::Clone, 0.0, tau_kill, 0.0)
             .expect("clone strategy parameters are always valid after clamping")
     }
 
@@ -308,6 +311,11 @@ mod tests {
         let p = StrategyParams::clone_strategy(-5.0);
         assert_eq!(p.tau_kill(), 0.0);
         assert_eq!(p.kind(), StrategyKind::Clone);
+        assert_eq!(StrategyParams::clone_strategy(f64::NAN).tau_kill(), 0.0);
+        assert_eq!(
+            StrategyParams::clone_strategy(f64::INFINITY).tau_kill(),
+            f64::MAX
+        );
     }
 
     #[test]

@@ -174,25 +174,14 @@ impl NetUtility {
     /// Propagates cost-model failures (infinite expectations, numerical
     /// failures).
     pub fn utility(&self, r: u32) -> Result<f64, ChronosError> {
-        self.utility_continuous(f64::from(r))
-    }
-
-    /// Net utility on the continuous relaxation of `r`; [`utility`](Self::utility)
-    /// is this at integer `r`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cost-model failures (infinite expectations, numerical
-    /// failures).
-    pub fn utility_continuous(&self, r: f64) -> Result<f64, ChronosError> {
         Ok(self.evaluate(r)?.map_or(f64::NEG_INFINITY, |p| p.utility))
     }
 
     /// The utility at `r` together with the PoCD and machine time it was
     /// computed from, or `None` when `R(r) ≤ R_min` (utility `−∞`), where
     /// the cost is never evaluated.
-    pub(crate) fn evaluate(&self, r: f64) -> Result<Option<Point>, ChronosError> {
-        let pocd = self.pocd.pocd_continuous(r);
+    pub(crate) fn evaluate(&self, r: u32) -> Result<Option<Point>, ChronosError> {
+        let pocd = self.pocd.pocd(r);
         let margin = pocd - self.objective.r_min;
         if margin <= 0.0 {
             return Ok(None);
@@ -207,11 +196,8 @@ impl NetUtility {
     }
 
     /// PoCD at an integer `r` (Theorems 1/3/5).
-    ///
-    /// # Errors
-    ///
-    /// Never fails for models built through [`UtilityModel::for_job`].
-    pub fn pocd(&self, r: u32) -> Result<f64, ChronosError> {
+    #[must_use]
+    pub fn pocd(&self, r: u32) -> f64 {
         self.pocd.pocd(r)
     }
 
@@ -221,7 +207,7 @@ impl NetUtility {
     ///
     /// Propagates cost-model failures.
     pub fn machine_time(&self, r: u32) -> Result<f64, ChronosError> {
-        self.cost.expected_job_machine_time(f64::from(r))
+        self.cost.expected_job_machine_time(r)
     }
 
     /// Expected dollar cost (`C · E[T]`) at an integer `r`.
@@ -230,7 +216,7 @@ impl NetUtility {
     ///
     /// Propagates cost-model failures.
     pub fn dollar_cost(&self, r: u32) -> Result<f64, ChronosError> {
-        self.cost.expected_cost(f64::from(r))
+        self.cost.expected_cost(r)
     }
 
     /// The concavity threshold `Γ_strategy` of Theorem 8 for this objective.
@@ -292,7 +278,7 @@ mod tests {
         let params = StrategyParams::clone_strategy(80.0);
         let n = net(1e-4, 0.0, params);
         let r = 2;
-        let expected = n.pocd(r).unwrap().log10() - 1e-4 * n.machine_time(r).unwrap();
+        let expected = n.pocd(r).log10() - 1e-4 * n.machine_time(r).unwrap();
         assert!((n.utility(r).unwrap() - expected).abs() < 1e-12);
     }
 
@@ -302,7 +288,7 @@ mod tests {
         // Floor above anything achievable at r = 0 but not at larger r.
         let n = net(1e-4, 0.60, params);
         let u0 = n.utility(0).unwrap();
-        let base = n.pocd(0).unwrap();
+        let base = n.pocd(0);
         assert!(base < 0.60, "baseline PoCD {base}");
         assert_eq!(u0, f64::NEG_INFINITY);
         assert!(n.utility(3).unwrap() > f64::NEG_INFINITY);
@@ -315,17 +301,6 @@ mod tests {
         let costly = net(1e-3, 0.0, params);
         for r in 0..5 {
             assert!(cheap.utility(r).unwrap() > costly.utility(r).unwrap());
-        }
-    }
-
-    #[test]
-    fn continuous_matches_integer_grid() {
-        let params = StrategyParams::resume(40.0, 80.0, 0.3).unwrap();
-        let n = net(1e-4, 0.0, params);
-        for r in 0..5 {
-            assert!(
-                (n.utility(r).unwrap() - n.utility_continuous(f64::from(r)).unwrap()).abs() < 1e-12
-            );
         }
     }
 

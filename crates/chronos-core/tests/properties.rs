@@ -2,6 +2,7 @@
 //! must respect their structural invariants over the whole parameter domain,
 //! not just at the hand-picked values of the unit tests.
 
+use chronos_core::numeric::clamp_probability;
 use chronos_core::prelude::*;
 use proptest::prelude::*;
 
@@ -112,6 +113,19 @@ fn all_strategies(tau_est: f64, tau_kill: f64, phi: f64) -> Vec<StrategyParams> 
     ]
 }
 
+/// The per-task miss probability `q` of Theorems 1, 3 and 5 at a real
+/// `r ≥ 0`. The closed forms take an integer `r`; the threshold `Γ` is real,
+/// so the crossing check probes `q` just above it.
+fn failure_probability_at(model: &PocdModel, r: f64) -> f64 {
+    let p = model.original_miss_probability();
+    let extra = model.extra_miss_probability();
+    clamp_probability(match model.params().kind() {
+        StrategyKind::Clone => p.powf(r + 1.0),
+        StrategyKind::SpeculativeRestart => p * extra.powf(r),
+        StrategyKind::SpeculativeResume => p * extra.powf(r + 1.0),
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -156,14 +170,14 @@ proptest! {
             let model = PocdModel::new(job, params).unwrap();
             let mut previous = 0.0;
             for r in 0..8u32 {
-                let value = model.pocd(r).unwrap();
+                let value = model.pocd(r);
                 prop_assert!((0.0..=1.0).contains(&value));
                 prop_assert!(value + 1e-12 >= previous, "PoCD decreased in r");
                 previous = value;
             }
             let looser = job.with_deadline(job.deadline() * 1.5).unwrap();
             let looser_model = PocdModel::new(looser, params).unwrap();
-            prop_assert!(looser_model.pocd(2).unwrap() + 1e-12 >= model.pocd(2).unwrap());
+            prop_assert!(looser_model.pocd(2) + 1e-12 >= model.pocd(2));
         }
     }
 
@@ -177,8 +191,8 @@ proptest! {
         let resume =
             PocdModel::new(job, StrategyParams::resume(tau_est, tau_kill, phi).unwrap()).unwrap();
         for r in 1..6u32 {
-            prop_assert!(clone.pocd(r).unwrap() + 1e-12 >= restart.pocd(r).unwrap());
-            prop_assert!(resume.pocd(r).unwrap() + 1e-12 >= restart.pocd(r).unwrap());
+            prop_assert!(clone.pocd(r) + 1e-12 >= restart.pocd(r));
+            prop_assert!(resume.pocd(r) + 1e-12 >= restart.pocd(r));
         }
     }
 
@@ -190,7 +204,7 @@ proptest! {
             let model = PocdModel::new(job, params).unwrap();
             if let Some(gamma) = model.concavity_threshold() {
                 let n = f64::from(job.tasks());
-                let above = model.task_failure_probability_continuous(gamma.max(0.0) + 1e-6);
+                let above = failure_probability_at(&model, gamma.max(0.0) + 1e-6);
                 prop_assert!(above <= 1.0 / n + 1e-9);
             }
         }
@@ -206,10 +220,9 @@ proptest! {
         let resume =
             CostModel::new(job, StrategyParams::resume(tau_est, tau_kill, phi).unwrap()).unwrap();
         for r in 1..5u32 {
-            let rf = f64::from(r);
-            let c = clone.expected_job_machine_time(rf).unwrap();
-            let s = restart.expected_job_machine_time(rf).unwrap();
-            let re = resume.expected_job_machine_time(rf).unwrap();
+            let c = clone.expected_job_machine_time(r).unwrap();
+            let s = restart.expected_job_machine_time(r).unwrap();
+            let re = resume.expected_job_machine_time(r).unwrap();
             prop_assert!(c.is_finite() && c > 0.0);
             prop_assert!(s.is_finite() && s > 0.0);
             prop_assert!(re.is_finite() && re > 0.0);
@@ -264,7 +277,7 @@ proptest! {
         let cost = CostModel::new(job, params).unwrap();
         let optimizer = Optimizer::new(UtilityModel::new(10f64.powf(theta_exp), 0.0).unwrap());
         for r in 0..=optimizer.config().r_max {
-            let time = cost.expected_job_machine_time(f64::from(r)).unwrap();
+            let time = cost.expected_job_machine_time(r).unwrap();
             prop_assert!(time.is_finite() && time > 0.0, "r={}: {}", r, time);
         }
         let hybrid = optimizer.optimize(&job, &params);
@@ -336,8 +349,8 @@ proptest! {
         let pocd = PocdModel::new(job, params).unwrap();
         let cost = CostModel::new(job, params).unwrap();
         for point in frontier.iter() {
-            prop_assert!((point.pocd - pocd.pocd(point.r).unwrap()).abs() < 1e-12);
-            let expected = cost.expected_job_machine_time(f64::from(point.r)).unwrap();
+            prop_assert!((point.pocd - pocd.pocd(point.r)).abs() < 1e-12);
+            let expected = cost.expected_job_machine_time(point.r).unwrap();
             prop_assert!((point.machine_time - expected).abs() < 1e-9);
         }
     }

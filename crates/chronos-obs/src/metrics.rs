@@ -296,6 +296,8 @@ impl MetricsRegistry {
     /// primitives.
     #[must_use]
     pub fn render_json(&self) -> String {
+        // Invariant: the registry holds only strings, integers and finite-or-not f64s, all serializable.
+        #[allow(clippy::expect_used)]
         serde_json::to_string_pretty(self).expect("registry serializes")
     }
 }

@@ -6,7 +6,7 @@
 //! * **Wall-clock spans** (behind the `wallclock` feature) time real
 //!   elapsed nanoseconds for profiling. They are *never* hashed, never
 //!   merged into digested traces, and never written to golden files —
-//!   they render only through [`WallProfile::render`].
+//!   they render only through `WallProfile::render`.
 
 use crate::trace::TraceEvent;
 

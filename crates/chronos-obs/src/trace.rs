@@ -451,8 +451,12 @@ impl DecisionTrace {
     #[must_use]
     pub fn render_log(&self) -> String {
         let mut out = Vec::new();
+        // Invariant: `io::Write` for `Vec<u8>` never returns an error.
+        #[allow(clippy::expect_used)]
         self.write_log(&mut out)
             .expect("writing into a Vec cannot fail");
+        // Invariant: every byte comes from `writeln!` of Rust strings, so it is UTF-8.
+        #[allow(clippy::expect_used)]
         String::from_utf8(out).expect("every rendered event is UTF-8")
     }
 }

@@ -242,7 +242,7 @@ pub fn allocate(
     let unconstrained: Vec<u32> = plans
         .iter()
         .map(|plan| match plan {
-            Ok(plan) => plan.outcome.r,
+            Ok(outcome) => outcome.r,
             Err(_) => {
                 infeasible += 1;
                 0

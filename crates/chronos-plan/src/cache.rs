@@ -73,11 +73,12 @@ struct Resident {
 
 impl Resident {
     /// The entry's memory footprint in bytes: the fixed slot overhead plus
-    /// whatever the resolved result keeps on the heap. `Plan` is `Copy`
-    /// (all-inline), so successful solves weigh the floor; a negative-cached
-    /// error additionally owns its message bytes. An in-flight entry reads
-    /// as the floor too — its final size is unknown and evicting a solve
-    /// that threads are blocked on would waste the work in progress.
+    /// whatever the resolved result keeps on the heap. An
+    /// `OptimizationOutcome` is `Copy` (all-inline), so successful solves
+    /// weigh the floor; a negative-cached error additionally owns its
+    /// message bytes. An in-flight entry reads as the floor too — its final
+    /// size is unknown and evicting a solve that threads are blocked on
+    /// would waste the work in progress.
     fn footprint(&self) -> usize {
         let floor = std::mem::size_of::<Resident>() + std::mem::size_of::<PlanResult>();
         match self.slot.get() {
@@ -462,7 +463,6 @@ impl Default for PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::Plan;
     use chronos_core::{JobProfile, OptimizerConfig, StrategyParams, UtilityModel};
     use chronos_core::{OptimizationOutcome, StrategyKind};
 
@@ -477,18 +477,13 @@ mod tests {
     }
 
     fn plan(r: u32) -> PlanResult {
-        Ok(Plan {
-            outcome: OptimizationOutcome {
-                strategy: StrategyKind::Clone,
-                r,
-                utility: -0.1,
-                pocd: 0.9,
-                machine_time: 100.0,
-                dollar_cost: 100.0,
-            },
-            baseline_pocd: 0.5,
-            baseline_machine_time: 80.0,
-            baseline_dollar_cost: 80.0,
+        Ok(OptimizationOutcome {
+            strategy: StrategyKind::Clone,
+            r,
+            utility: -0.1,
+            pocd: 0.9,
+            machine_time: 100.0,
+            dollar_cost: 100.0,
         })
     }
 
@@ -501,7 +496,7 @@ mod tests {
                 solves += 1;
                 plan(2)
             });
-            assert_eq!(result.unwrap().outcome.r, 2);
+            assert_eq!(result.unwrap().r, 2);
         }
         assert_eq!(solves, 1);
         let stats = cache.stats();
@@ -516,8 +511,8 @@ mod tests {
         cache.get_or_compute(key(100.0), || plan(1)).unwrap();
         cache.get_or_compute(key(120.0), || plan(7)).unwrap();
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.peek(&key(120.0)).unwrap().unwrap().outcome.r, 7);
-        assert_eq!(cache.peek(&key(100.0)).unwrap().unwrap().outcome.r, 1);
+        assert_eq!(cache.peek(&key(120.0)).unwrap().unwrap().r, 7);
+        assert_eq!(cache.peek(&key(100.0)).unwrap().unwrap().r, 1);
         assert!(cache.peek(&key(140.0)).is_none());
     }
 
@@ -750,7 +745,7 @@ mod tests {
                         solves.fetch_add(1, Ordering::Relaxed);
                         plan(3)
                     });
-                    assert_eq!(result.unwrap().outcome.r, 3);
+                    assert_eq!(result.unwrap().r, 3);
                 });
             }
         });

@@ -21,9 +21,10 @@
 //!   solves and hit/miss/eviction counters ([`CacheStats`]). It is the only
 //!   place planning is deduplicated;
 //! * [`Planner`] — an optimizer bound to a cache: [`Planner::plan_request`]
-//!   is memoized and bit-identical to an uncached `Optimizer::optimize`,
-//!   and [`Planner::solve_uncached`] is the same solve with the cache
-//!   bypassed;
+//!   is the one memoized entry point, and a miss computes exactly
+//!   `Optimizer::optimize`, whose [`chronos_core::OptimizationOutcome`]
+//!   (or error) is what the cache stores. The uncached reference paths
+//!   call [`Planner::optimizer`]'s `optimize` directly;
 //! * [`budget`] — cluster-wide speculation budgets: [`allocate`] plans each
 //!   job of a batch once, in input order, then distributes a shared copy
 //!   budget by deterministic greedy water-filling over the per-job
@@ -67,7 +68,7 @@
 //! // … and the memoized plans are the uncached optimizer's answers.
 //! let direct = Optimizer::new(UtilityModel::new(1e-4, 0.0)?)
 //!     .optimize(&classes[1], &params)?;
-//! assert_eq!(plans[1].as_ref().unwrap().outcome, direct);
+//! assert_eq!(plans[1].as_ref().unwrap(), &direct);
 //! # Ok(())
 //! # }
 //! ```
@@ -90,4 +91,4 @@ pub use budget::{
 };
 pub use cache::{CacheStats, PlanCache};
 pub use key::{canonical_f64_bits, JobProfileKey, ProfileKey};
-pub use planner::{Plan, PlanRequest, PlanResult, Planner};
+pub use planner::{PlanRequest, PlanResult, Planner};

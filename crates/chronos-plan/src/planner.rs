@@ -28,52 +28,21 @@ impl PlanRequest {
     }
 }
 
-/// A solved plan: the optimizer's outcome plus the no-speculation baseline
-/// evaluated from the same closed forms — what the job would pay and risk
-/// at `r = 0` — so callers can report the speculation benefit without
-/// re-deriving the models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Plan {
-    /// The optimum Algorithm 1 selected.
-    pub outcome: OptimizationOutcome,
-    /// PoCD at `r = 0` under the same strategy timing.
-    pub baseline_pocd: f64,
-    /// Expected machine time (VM-seconds) at `r = 0`.
-    pub baseline_machine_time: f64,
-    /// Expected dollar cost at `r = 0`.
-    pub baseline_dollar_cost: f64,
-}
-
-impl Plan {
-    /// PoCD gained by speculating at the optimum instead of `r = 0`.
-    #[must_use]
-    pub fn pocd_gain(&self) -> f64 {
-        self.outcome.pocd - self.baseline_pocd
-    }
-
-    /// Extra machine time paid at the optimum relative to `r = 0`.
-    #[must_use]
-    pub fn machine_time_overhead(&self) -> f64 {
-        self.outcome.machine_time - self.baseline_machine_time
-    }
-}
-
-/// Outcome of planning one request: the solved [`Plan`], or the analytical
-/// error (also memoized — an infeasible job class is proven infeasible
-/// once, not once per job).
-pub type PlanResult = Result<Plan, ChronosError>;
+/// Outcome of planning one request: Algorithm 1's optimum, or the
+/// analytical error (also memoized — an infeasible job class is proven
+/// infeasible once, not once per job).
+pub type PlanResult = Result<OptimizationOutcome, ChronosError>;
 
 /// The memoizing strategy planner: an [`Optimizer`] bound to a (possibly
 /// shared) [`PlanCache`].
 ///
-/// [`Planner::plan`] is a drop-in, bit-identical replacement for
+/// [`Planner::plan_request`] is a drop-in, bit-identical replacement for
 /// `Optimizer::optimize` — same inputs, same outcome, same errors — that
 /// pays the closed-form solve once per distinct [`ProfileKey`]. The cache
 /// is the only deduplication: a batch is planned by calling
 /// [`Planner::plan_request`] once per job, in order, and each key's first
-/// lookup is its one miss. [`Planner::solve_uncached`] is the same solve
-/// with the cache bypassed, the reference the memoized path is compared
-/// against.
+/// lookup is its one miss. The uncached reference is
+/// `planner.optimizer().optimize(..)`.
 ///
 /// # Examples
 ///
@@ -86,8 +55,9 @@ pub type PlanResult = Result<Plan, ChronosError>;
 /// let job = JobProfile::builder().deadline(100.0).build()?;
 /// let params = StrategyParams::resume(40.0, 80.0, 0.3)?;
 ///
-/// let first = planner.plan(&job, &params)?;
-/// let again = planner.plan(&job, &params)?; // served from the cache
+/// let request = PlanRequest::new(job, params);
+/// let first = planner.plan_request(&request)?;
+/// let again = planner.plan_request(&request)?; // served from the cache
 /// assert_eq!(first, again);
 /// assert_eq!(planner.stats().misses, 1);
 /// assert_eq!(planner.stats().hits, 1);
@@ -153,54 +123,17 @@ impl Planner {
         )
     }
 
-    /// Solves a request without touching the cache — neither reading nor
-    /// writing it. The plan's outcome (and error behaviour) is exactly that
-    /// of `Optimizer::optimize`; the baseline fields are evaluated from the
-    /// same bound models at `r = 0`. This is the single definition of what
-    /// a [`Plan`] *is*: the memoized paths cache its results, and the
-    /// uncached reference paths (e.g. `chronos-strategies`'
-    /// `ChronosPolicy::uncached`) call it directly, so the two can never
-    /// drift apart.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of `Optimizer::optimize` for the same inputs.
-    pub fn solve_uncached(&self, request: &PlanRequest) -> PlanResult {
-        self.solve(request)
-    }
-
-    fn solve(&self, request: &PlanRequest) -> PlanResult {
-        let net = self
-            .optimizer
-            .objective()
-            .for_job(&request.job, &request.params)?;
-        let outcome = self.optimizer.optimize_net(&net)?;
-        Ok(Plan {
-            outcome,
-            baseline_pocd: net.pocd(0)?,
-            baseline_machine_time: net.machine_time(0)?,
-            baseline_dollar_cost: net.dollar_cost(0)?,
-        })
-    }
-
-    /// Plans one job/strategy pair, memoized.
+    /// Plans one request, memoized: a miss runs exactly
+    /// `Optimizer::optimize` on the request.
     ///
     /// # Errors
     ///
     /// Exactly the errors of `Optimizer::optimize` for the same inputs
     /// (memoized like successes).
-    pub fn plan(&self, job: &JobProfile, params: &StrategyParams) -> PlanResult {
-        self.plan_request(&PlanRequest::new(*job, *params))
-    }
-
-    /// Plans one request, memoized.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Planner::plan`].
     pub fn plan_request(&self, request: &PlanRequest) -> PlanResult {
-        self.cache
-            .get_or_compute(self.key_of(request), || self.solve(request))
+        self.cache.get_or_compute(self.key_of(request), || {
+            self.optimizer.optimize(&request.job, &request.params)
+        })
     }
 }
 
@@ -223,47 +156,53 @@ mod tests {
         Planner::new(UtilityModel::new(1e-4, 0.0).unwrap())
     }
 
-    #[test]
-    fn plan_matches_uncached_optimizer_bit_for_bit() {
-        let planner = planner();
-        let optimizer = Optimizer::new(UtilityModel::new(1e-4, 0.0).unwrap());
-        for params in [
-            StrategyParams::clone_strategy(80.0),
-            StrategyParams::restart(40.0, 80.0).unwrap(),
-            StrategyParams::resume(40.0, 80.0, 0.4).unwrap(),
-        ] {
-            let plan = planner.plan(&job(100.0), &params).unwrap();
-            let direct = optimizer.optimize(&job(100.0), &params).unwrap();
-            assert_eq!(plan.outcome.r, direct.r);
-            assert_eq!(plan.outcome.utility.to_bits(), direct.utility.to_bits());
-            assert_eq!(plan.outcome.pocd.to_bits(), direct.pocd.to_bits());
-            assert_eq!(
-                plan.outcome.machine_time.to_bits(),
-                direct.machine_time.to_bits()
-            );
-            assert_eq!(
-                plan.outcome.dollar_cost.to_bits(),
-                direct.dollar_cost.to_bits()
-            );
-        }
+    fn plan(planner: &Planner, deadline: f64, params: StrategyParams) -> PlanResult {
+        planner.plan_request(&PlanRequest::new(job(deadline), params))
     }
 
     #[test]
-    fn baseline_fields_come_from_r_zero() {
-        let planner = planner();
-        let params = StrategyParams::clone_strategy(80.0);
-        let plan = planner.plan(&job(100.0), &params).unwrap();
-        let net = UtilityModel::new(1e-4, 0.0)
-            .unwrap()
-            .for_job(&job(100.0), &params)
+    fn plan_matches_uncached_optimizer_bit_for_bit() {
+        // The second case has an infinite machine time at r = 0 (β ≤ 1)
+        // under a PoCD floor that r = 0 misses, so the optimum never
+        // evaluates r = 0's cost: a plan must not either.
+        let heavy = JobProfile::builder()
+            .tasks(10)
+            .t_min(20.0)
+            .beta(0.9)
+            .deadline(100.0)
+            .price(1.0)
+            .build()
             .unwrap();
-        assert_eq!(plan.baseline_pocd.to_bits(), net.pocd(0).unwrap().to_bits());
-        assert_eq!(
-            plan.baseline_machine_time.to_bits(),
-            net.machine_time(0).unwrap().to_bits()
-        );
-        assert!(plan.pocd_gain() > 0.0);
-        assert!(plan.machine_time_overhead() > 0.0);
+        for (objective, job) in [
+            (UtilityModel::new(1e-4, 0.0).unwrap(), job(100.0)),
+            (UtilityModel::new(1e-4, 0.5).unwrap(), heavy),
+        ] {
+            let planner = Planner::new(objective);
+            let optimizer = Optimizer::new(objective);
+            for params in [
+                StrategyParams::clone_strategy(80.0),
+                StrategyParams::restart(40.0, 80.0).unwrap(),
+                StrategyParams::resume(40.0, 80.0, 0.4).unwrap(),
+            ] {
+                let planned = planner.plan_request(&PlanRequest::new(job, params));
+                match (planned, optimizer.optimize(&job, &params)) {
+                    (Ok(planned), Ok(direct)) => {
+                        assert_eq!(planned.r, direct.r);
+                        assert_eq!(planned.utility.to_bits(), direct.utility.to_bits());
+                        assert_eq!(planned.pocd.to_bits(), direct.pocd.to_bits());
+                        assert_eq!(
+                            planned.machine_time.to_bits(),
+                            direct.machine_time.to_bits()
+                        );
+                        assert_eq!(planned.dollar_cost.to_bits(), direct.dollar_cost.to_bits());
+                    }
+                    (Err(planned), Err(direct)) => {
+                        assert_eq!(planned.to_string(), direct.to_string());
+                    }
+                    (planned, direct) => panic!("{params:?}: plan {planned:?} vs {direct:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -271,7 +210,7 @@ mod tests {
         let planner = planner();
         let params = StrategyParams::resume(40.0, 80.0, 0.4).unwrap();
         for _ in 0..5 {
-            planner.plan(&job(100.0), &params).unwrap();
+            plan(&planner, 100.0, params).unwrap();
         }
         let stats = planner.stats();
         assert_eq!(stats.misses, 1);
@@ -285,7 +224,7 @@ mod tests {
         let planner = planner();
         let params = StrategyParams::restart(95.0, 99.0).unwrap();
         for _ in 0..3 {
-            assert!(planner.plan(&job(100.0), &params).is_err());
+            assert!(plan(&planner, 100.0, params).is_err());
         }
         let stats = planner.stats();
         assert_eq!(stats.misses, 1);
@@ -304,8 +243,8 @@ mod tests {
             Arc::clone(&cache),
         );
         let params = StrategyParams::clone_strategy(80.0);
-        a.plan(&job(100.0), &params).unwrap();
-        b.plan(&job(100.0), &params).unwrap();
+        plan(&a, 100.0, params).unwrap();
+        plan(&b, 100.0, params).unwrap();
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 1);
 
@@ -315,7 +254,7 @@ mod tests {
             Optimizer::new(UtilityModel::new(1e-3, 0.0).unwrap()),
             Arc::clone(&cache),
         );
-        other.plan(&job(100.0), &params).unwrap();
+        plan(&other, 100.0, params).unwrap();
         assert_eq!(cache.stats().misses, 2);
     }
 }

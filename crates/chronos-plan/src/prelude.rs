@@ -5,4 +5,4 @@ pub use crate::budget::{
 };
 pub use crate::cache::{CacheStats, PlanCache};
 pub use crate::key::{canonical_f64_bits, JobProfileKey, ProfileKey};
-pub use crate::planner::{Plan, PlanRequest, PlanResult, Planner};
+pub use crate::planner::{PlanRequest, PlanResult, Planner};

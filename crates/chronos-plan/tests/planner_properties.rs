@@ -95,7 +95,7 @@ proptest! {
             let direct = optimizer.optimize(&request.job, &request.params);
             match (result, direct) {
                 (Ok(plan), Ok(outcome)) => {
-                    prop_assert_eq!(outcome_bits(&plan.outcome), outcome_bits(&outcome));
+                    prop_assert_eq!(outcome_bits(plan), outcome_bits(&outcome));
                 }
                 (Err(cached), Err(fresh)) => {
                     prop_assert_eq!(cached.to_string(), fresh.to_string());

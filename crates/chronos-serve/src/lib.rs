@@ -45,7 +45,7 @@
 //!   function of the job and the policy config, independent of worker
 //!   count or scheduling. [`decisions_digest`] hashes that invariant.
 //! * **Budgeting.** The server can run under a cluster-wide
-//!   [`SpeculationBudget`](chronos_plan::SpeculationBudget)
+//!   [`SpeculationBudget`]
 //!   ([`ServeConfig::with_budget`]): every feasible decision atomically
 //!   debits its optimal copy count from a shared token counter,
 //!   all-or-nothing, and once the tokens cannot cover a job's full grant

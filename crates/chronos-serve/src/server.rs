@@ -246,7 +246,7 @@ pub struct ServerStats {
 
 impl ServerStats {
     /// Exports the statistics into a
-    /// [`MetricsRegistry`](chronos_obs::MetricsRegistry) under the
+    /// [`MetricsRegistry`] under the
     /// `chronos_serve_*` namespace (the plan cache exports under its own
     /// `chronos_plan_cache_*` names).
     pub fn export_metrics(&self, registry: &mut MetricsRegistry) {
@@ -380,15 +380,15 @@ impl ServerShared {
         let mut best: Option<(StrategyKind, OptimizationOutcome)> = None;
         for kind in StrategyKind::ALL {
             let request = self.policy.request_for(&view, kind);
-            let Ok(Ok(plan)) = request.map(|request| self.planner.plan_request(&request)) else {
+            let Ok(Ok(outcome)) = request.map(|request| self.planner.plan_request(&request)) else {
                 continue;
             };
             let better = match &best {
                 None => true,
-                Some((_, incumbent)) => plan.outcome.utility > incumbent.utility,
+                Some((_, incumbent)) => outcome.utility > incumbent.utility,
             };
             if better {
-                best = Some((kind, plan.outcome));
+                best = Some((kind, outcome));
             }
         }
         match best {

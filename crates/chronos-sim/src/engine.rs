@@ -1485,12 +1485,14 @@ mod tests {
                 profile,
                 chronos_core::StrategyParams::clone_strategy(5.0),
             );
-            let plan = if self.cached {
+            let outcome = if self.cached {
                 self.planner.plan_request(&request)
             } else {
-                self.planner.solve_uncached(&request)
+                self.planner
+                    .optimizer()
+                    .optimize(&request.job, &request.params)
             };
-            plan.unwrap().outcome.r
+            outcome.unwrap().r
         }
     }
 

@@ -806,7 +806,7 @@ mod tests {
         ) -> crate::policy::SubmitDecision {
             let r = Self::request_of(job)
                 .and_then(|request| self.planner.plan_request(&request).ok())
-                .map_or(0, |plan| plan.outcome.r);
+                .map_or(0, |outcome| outcome.r);
             crate::policy::SubmitDecision {
                 extra_clones_per_task: r,
                 reported_r: Some(r),

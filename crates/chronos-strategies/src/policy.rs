@@ -86,8 +86,9 @@ impl ChronosPolicy {
     }
 
     /// Creates the policy with memoization disabled: every job is solved
-    /// through [`Planner::solve_uncached`]. This is the bit-identical
-    /// reference path the scale tests compare the cached paths against.
+    /// by the planner's `Optimizer::optimize`, bypassing the cache. This is
+    /// the bit-identical reference path the scale tests compare the cached
+    /// paths against.
     #[must_use]
     pub fn uncached(kind: StrategyKind, config: ChronosPolicyConfig) -> Self {
         ChronosPolicy {
@@ -121,15 +122,15 @@ impl ChronosPolicy {
         if let Some(fixed) = self.config.fixed_r {
             return fixed;
         }
-        let plan = self.planner().and_then(|planner| {
+        let outcome = self.planner().and_then(|planner| {
             let request = self.request_for(job)?;
             if self.cached {
                 planner.plan_request(&request)
             } else {
-                planner.solve_uncached(&request)
+                planner.optimizer().optimize(&request.job, &request.params)
             }
         });
-        plan.map_or(self.config.fallback_r, |plan| plan.outcome.r)
+        outcome.map_or(self.config.fallback_r, |outcome| outcome.r)
     }
 
     /// The submit decision for a job given `r` extra attempts: Clone

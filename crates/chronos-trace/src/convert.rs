@@ -621,8 +621,12 @@ impl GoogleClusterTraceConverter {
         let mut tasks = 0u64;
         let jobs_written = rows.len() as u64;
         for (submit_us, job_id, task_count, t_min, beta) in rows {
+            // Invariant: durations are > 0 (NonPositiveDuration) and `fit_pareto` returns 1 < beta < inf.
+            #[allow(clippy::expect_used)]
             let profile = Pareto::new(t_min, beta)
                 .expect("fit is valid by construction: t_min > 0 and 1 < beta < inf");
+            // Invariant: beta > 1, as above.
+            #[allow(clippy::expect_used)]
             let mean = profile.mean().expect("beta > 1 has a finite mean");
             let spec = JobSpec::new(
                 JobId::new(job_id),

@@ -281,8 +281,12 @@ impl GoogleTraceStream {
         let tasks = (self.task_count_dist.sample(&mut self.rng).round() as u64)
             .clamp(1, u64::from(self.max_tasks_per_job)) as usize;
         let t_min = self.t_min_dist.sample(&mut self.rng).max(1.0);
+        // Invariant: `GoogleTraceConfig::stream` rejects beta <= 1, and t_min is floored at 1.
+        #[allow(clippy::expect_used)]
         let profile = Pareto::new(t_min, self.beta)
             .expect("beta was validated and the sampled t_min is >= 1");
+        // Invariant: beta > 1, as above.
+        #[allow(clippy::expect_used)]
         let mean_task = profile
             .mean()
             .expect("beta > 1 guarantees a finite mean task time");

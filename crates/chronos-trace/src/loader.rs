@@ -993,6 +993,8 @@ fn parse_row(
             }
             beta
         }
+        // Invariant: opening a trace without a `beta` column requires `default_beta`.
+        #[allow(clippy::expect_used)]
         None => header
             .default_beta
             .expect("checked at open: beta column or default_beta"),

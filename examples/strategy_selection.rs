@@ -48,8 +48,8 @@ fn main() -> Result<(), ChronosError> {
         let r_probe = 2;
         println!(
             "  at r = {r_probe}: Clone vs S-Restart -> {:?}, S-Resume vs S-Restart -> {:?}",
-            compare_pocd(&clone_model, &restart_model, r_probe)?,
-            compare_pocd(&resume_model, &restart_model, r_probe)?,
+            compare_pocd(&clone_model, &restart_model, r_probe),
+            compare_pocd(&resume_model, &restart_model, r_probe),
         );
         match clone_beats_resume_threshold(&job, &candidates[2]) {
             Ok(threshold) => {

@@ -61,8 +61,8 @@ pub mod prelude {
     };
     pub use chronos_plan::prelude::{
         allocate, canonical_f64_bits, Allocation, AllocationLedger, BudgetJob, CacheStats, Grant,
-        JobProfileKey, LedgerSummary, Plan, PlanCache, PlanRequest, PlanResult, Planner,
-        ProfileKey, SpeculationBudget,
+        JobProfileKey, LedgerSummary, PlanCache, PlanRequest, PlanResult, Planner, ProfileKey,
+        SpeculationBudget,
     };
     pub use chronos_serve::prelude::{
         decisions_digest, AdmissionDecision, LatencyProbe, PlanServer, ServeConfig, ServeError,
@@ -109,10 +109,11 @@ mod tests {
         );
         // The planning layer is reachable through the facade too.
         let planner = Planner::new(UtilityModel::default());
+        let params = StrategyParams::clone_strategy(80.0);
         let plan = planner
-            .plan(&job, &StrategyParams::clone_strategy(80.0))
+            .plan_request(&PlanRequest::new(job, params))
             .unwrap();
-        assert!(plan.outcome.pocd > plan.baseline_pocd);
+        assert!(plan.pocd > PocdModel::new(job, params).unwrap().baseline_pocd());
         assert_eq!(planner.stats().misses, 1);
         // And the serving layer: an online admission decision end to end.
         let server = PlanServer::start(ServeConfig::new(1, 4)).unwrap();

@@ -89,8 +89,8 @@ fn theorem1_and_2_clone_matches_simulation() {
     let (pocd, cost) = analytic_models(chronos_core::StrategyKind::Clone);
     for r in 1..=2u32 {
         let report = run_fixed_r(chronos_core::StrategyKind::Clone, r, 100 + u64::from(r));
-        let theory_pocd = pocd.pocd(r).unwrap();
-        let theory_cost = cost.expected_job_machine_time(f64::from(r)).unwrap();
+        let theory_pocd = pocd.pocd(r);
+        let theory_cost = cost.expected_job_machine_time(r).unwrap();
         assert!(
             (report.pocd() - theory_pocd).abs() < POCD_TOLERANCE,
             "Clone r={r}: simulated PoCD {} vs theory {theory_pocd}",
@@ -113,7 +113,7 @@ fn theorem3_restart_pocd_matches_simulation() {
             r,
             200 + u64::from(r),
         );
-        let theory = pocd.pocd(r).unwrap();
+        let theory = pocd.pocd(r);
         assert!(
             (report.pocd() - theory).abs() < POCD_TOLERANCE,
             "S-Restart r={r}: simulated {} vs theory {theory}",
@@ -127,7 +127,7 @@ fn theorem4_restart_cost_matches_simulation() {
     let (_, cost) = analytic_models(chronos_core::StrategyKind::SpeculativeRestart);
     let r = 2u32;
     let report = run_fixed_r(chronos_core::StrategyKind::SpeculativeRestart, r, 321);
-    let theory = cost.expected_job_machine_time(f64::from(r)).unwrap();
+    let theory = cost.expected_job_machine_time(r).unwrap();
     assert!(
         (report.mean_machine_time() - theory).abs() / theory < REACTIVE_COST_RTOL,
         "S-Restart r={r}: simulated {} vs theory {theory}",
@@ -140,8 +140,8 @@ fn theorem5_and_6_resume_matches_simulation() {
     let (pocd, cost) = analytic_models(chronos_core::StrategyKind::SpeculativeResume);
     let r = 1u32;
     let report = run_fixed_r(chronos_core::StrategyKind::SpeculativeResume, r, 400);
-    let theory_pocd = pocd.pocd(r).unwrap();
-    let theory_cost = cost.expected_job_machine_time(f64::from(r)).unwrap();
+    let theory_pocd = pocd.pocd(r);
+    let theory_cost = cost.expected_job_machine_time(r).unwrap();
     assert!(
         (report.pocd() - theory_pocd).abs() < POCD_TOLERANCE,
         "S-Resume r={r}: simulated PoCD {} vs theory {theory_pocd}",
